@@ -13,7 +13,7 @@ import (
 // exact bytes it produced before the allocation-free rework of the
 // simulation hot paths (sim queue, scheduler, node state pooling,
 // allocator fast paths). Byte identity for a given seed is a hard
-// contract: the serve daemon's content-addressed result cache and the
+// contract: the serve daemon's content-addressed store and the
 // parallel-vs-sequential sweep guarantee both depend on it, so any
 // optimization that changes these bytes — however slightly — is a
 // correctness bug, not a tuning choice.

@@ -55,6 +55,15 @@ func encodeMeasurements(fid Fidelity, ms []Measurement) []byte {
 	return buf
 }
 
+// minEncodedMeasurement is the shortest encoding appendMeasurement
+// produces (a zero Measurement): three empty strings and two absent
+// cycle accounts at one byte each, four 8-byte floats, and twelve
+// one-byte varints (R, L, F, Completed, MaxResident and the seven op
+// counts). decodeMeasurements bounds an entry's count by it, so a
+// hostile header cannot make the decoder allocate more Measurements
+// (~192 bytes each in memory) than its input could possibly encode.
+const minEncodedMeasurement = 3*1 + 2*1 + 4*8 + 12*1
+
 func appendMeasurement(buf []byte, m *Measurement) []byte {
 	buf = appendString(buf, m.Panel)
 	buf = appendString(buf, m.Arch)
@@ -218,7 +227,7 @@ func decodeMeasurements(fid Fidelity, data []byte) ([]Measurement, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if n > uint64(len(d.buf)) { // each measurement takes >1 byte
+	if n > uint64(len(d.buf)/minEncodedMeasurement) {
 		return nil, fmt.Errorf("experiment: point entry count %d implausible for %d bytes", n, len(d.buf))
 	}
 	ms := make([]Measurement, n)

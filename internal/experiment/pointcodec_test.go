@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"regreloc/internal/node"
@@ -74,6 +77,38 @@ func TestPointCodecRejectsDamage(t *testing.T) {
 	}
 	if _, err := decodeMeasurements(FidelitySim, append(append([]byte(nil), data...), 0)); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+}
+
+// TestPointCodecBoundsCount is the regression test for the decoder's
+// allocation bound. A zero Measurement encodes to exactly
+// minEncodedMeasurement bytes, so a count of len(buf)/min is the most
+// any honest entry can carry and decodes; a crafted header claiming
+// count = len(buf) is rejected before any Measurement is allocated
+// (the old bound, count <= len(buf), let a 1 MB entry demand ~192 MB).
+func TestPointCodecBoundsCount(t *testing.T) {
+	if got := len(appendMeasurement(nil, &Measurement{})); got != minEncodedMeasurement {
+		t.Fatalf("zero Measurement encodes to %d bytes, minEncodedMeasurement = %d", got, minEncodedMeasurement)
+	}
+	const n = 100
+	densest := encodeMeasurements(FidelitySim, make([]Measurement, n))
+	if out, err := decodeMeasurements(FidelitySim, densest); err != nil || len(out) != n {
+		t.Fatalf("%d zero measurements: decoded %d, %v", n, len(out), err)
+	}
+
+	body := make([]byte, 64<<10)
+	crafted := binary.AppendUvarint([]byte{pointCodecVersion, tierTag(FidelitySim)}, uint64(len(body)))
+	crafted = append(crafted, body...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeMeasurements(FidelitySim, crafted)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "implausible") {
+		t.Errorf("count = len(buf) not rejected at the header: %v", err)
+	}
+	// Trusting the count would allocate len(body) Measurements (~12 MB).
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("rejecting a crafted count allocated %d bytes", alloc)
 	}
 }
 

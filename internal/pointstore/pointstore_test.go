@@ -2,6 +2,7 @@ package pointstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,9 +27,10 @@ func TestGetPutRoundTrip(t *testing.T) {
 	if !ok || string(data) != "value" {
 		t.Fatalf("Get = %q, %v", data, ok)
 	}
-	c := s.Counters()
-	if c.Hits != 1 || c.Misses != 1 {
-		t.Errorf("counters = %+v, want 1 hit / 1 miss", c)
+	// Get is uncounted: the serving layer probes whole reports with it,
+	// and those probes must not skew the point hit/miss figures.
+	if c := s.Counters(); c.Hits != 0 || c.Misses != 0 {
+		t.Errorf("counters = %+v, want Get to leave hits and misses at 0", c)
 	}
 	if !s.Contains("k") || s.Contains("other") {
 		t.Error("Contains disagrees with contents")
@@ -172,6 +174,38 @@ func TestEvictionSpillsToDiskAndReloads(t *testing.T) {
 	}
 }
 
+// TestClockEvictionSparesReferencedEntry pins the memory tier's recency
+// policy and budget: an entry read since the clock hand last cleared it
+// survives the next eviction, an unread one is evicted in its place, and
+// the tier never holds more than its budget.
+func TestClockEvictionSparesReferencedEntry(t *testing.T) {
+	const budget = 130 // three 40-byte entries
+	s, err := NewWith(budget, "", Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := bytes.Repeat([]byte{1}, 40)
+	// Inserting d sweeps the whole ring once: every reference bit is
+	// cleared and the oldest entry, a, goes.
+	for _, k := range []string{"a", "b", "c", "d"} {
+		s.Put(k, entry)
+	}
+	if s.Contains("a") {
+		t.Fatal("first eviction did not take the oldest entry")
+	}
+	s.Get("b") // sets b's bit again; c's stays clear
+	s.Put("e", entry)
+	if !s.Contains("b") {
+		t.Error("entry read since the last sweep was evicted")
+	}
+	if s.Contains("c") {
+		t.Error("unread entry survived while a read one was at risk")
+	}
+	if s.Bytes() > budget {
+		t.Errorf("memory tier holds %d bytes, budget %d", s.Bytes(), budget)
+	}
+}
+
 func TestCorruptDiskEntryDropped(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := New(0, dir) // no memory tier: everything on disk
@@ -191,17 +225,43 @@ func TestCorruptDiskEntryDropped(t *testing.T) {
 	}
 }
 
+// TestBadIndexStartsCold: an index the store cannot trust — unparsable,
+// or written under another format version — is discarded wholesale and
+// the store starts cold. The wrong-version input is otherwise valid (its
+// payload exists and matches its checksum), so only the version gate
+// stands between it and being served.
 func TestBadIndexStartsCold(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, indexName), []byte("not json"), 0o644); err != nil {
+	data := []byte("old-format entry")
+	oldVersion, err := json.Marshal(storeIndex{Version: indexVersion + 1, Entries: map[string]diskEntry{
+		"k": {Size: int64(len(data)), Sum: checksum(data)},
+	}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(1<<20, dir)
-	if err != nil {
-		t.Fatalf("corrupt index should not be fatal: %v", err)
-	}
-	if s.DiskLen() != 0 {
-		t.Fatal("corrupt index was loaded")
+	for name, index := range map[string][]byte{
+		"corrupt":       []byte("not json"),
+		"wrong version": oldVersion,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, indexName), index, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "k.bin"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(1<<20, dir)
+			if err != nil {
+				t.Fatalf("bad index should not be fatal: %v", err)
+			}
+			defer s.Close()
+			if s.DiskLen() != 0 {
+				t.Fatal("bad index was loaded")
+			}
+			if _, ok := s.Get("k"); ok {
+				t.Fatal("entry from a bad index served")
+			}
+		})
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"regreloc/internal/pointstore"
 )
 
 // These tests pin the five latent bugs fixed in the serving-hardening
@@ -25,7 +27,6 @@ import (
 // assembly time and requeues past a small miss budget.
 func TestInlineAssemblyRecheckRequeuesOnEviction(t *testing.T) {
 	cfg := testConfig()
-	cfg.CacheBytes = -1 // no report cache: repeats reach the point-store path
 	cfg.PointCacheBytes = 1 << 20
 	s, err := New(cfg)
 	if err != nil {
@@ -34,17 +35,25 @@ func TestInlineAssemblyRecheckRequeuesOnEviction(t *testing.T) {
 	s.Start()
 	defer s.Shutdown(context.Background())
 
+	// Three grid orders address the same points under three job keys, so
+	// no submission below is answered by a stored report: each reaches
+	// the point-store path.
+	first, second, third := multiCellRequest(), multiCellRequest(), multiCellRequest()
+	second.F = []int{64, 32}
+	third.R = []int{16, 8}
+
 	// First run populates the point store.
-	j1, status, err := s.Submit(multiCellRequest())
+	j1, status, err := s.Submit(first)
 	if err != nil || status != http.StatusCreated {
 		t.Fatalf("cold submit: status=%d err=%v", status, err)
 	}
 	waitDone(t, j1)
 
-	// Control: with the store intact a repeat assembles inline (200).
-	j2, status, err := s.Submit(multiCellRequest())
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("covered repeat: status=%d err=%v", status, err)
+	// Control: with the store intact a reordered grid assembles inline
+	// (200).
+	j2, status, err := s.Submit(second)
+	if err != nil || status != http.StatusOK || j2.Status(false).Cached {
+		t.Fatalf("covered reorder: status=%d err=%v, want inline assembly", status, err)
 	}
 	waitDone(t, j2)
 
@@ -59,7 +68,7 @@ func TestInlineAssemblyRecheckRequeuesOnEviction(t *testing.T) {
 	}
 	defer func() { s.postAdmitHook = nil }()
 
-	j3, status, err := s.Submit(multiCellRequest())
+	j3, status, err := s.Submit(third)
 	if err != nil {
 		t.Fatalf("post-eviction submit: %v", err)
 	}
@@ -72,8 +81,23 @@ func TestInlineAssemblyRecheckRequeuesOnEviction(t *testing.T) {
 	if j3.StateNow() != StateDone {
 		t.Fatalf("requeued job state = %s", j3.StateNow())
 	}
-	if !bytes.Equal(j3.Result(), j1.Result()) {
-		t.Error("requeued recompute differs from original result")
+	// The reference for the third order comes from a storeless server,
+	// which simulates every cell from scratch.
+	refCfg := testConfig()
+	refCfg.PointCacheBytes = -1
+	ref, err := New(refCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Start()
+	defer ref.Shutdown(context.Background())
+	jr, _, err := ref.Submit(third)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, jr)
+	if !bytes.Equal(j3.Result(), jr.Result()) {
+		t.Error("requeued recompute differs from a from-scratch run")
 	}
 }
 
@@ -115,15 +139,13 @@ func TestShutdownNeverStartedFinalizesQueued(t *testing.T) {
 	}
 }
 
-// TestShutdownPersistsPointsDespiteCacheError covers the skipped-index
-// bug: Shutdown returned on the report cache's SaveIndex error before
-// reaching points.SaveIndex, silently losing the warm point index. The
-// fix attempts both and joins the errors.
-func TestShutdownPersistsPointsDespiteCacheError(t *testing.T) {
-	cacheDir, pointDir := t.TempDir(), t.TempDir()
+// TestShutdownIndexErrorReleasesLock: a failed index write must surface
+// from Shutdown, and must not strand the store's directory lock — a
+// daemon restarting on the same dir would otherwise refuse to start.
+func TestShutdownIndexErrorReleasesLock(t *testing.T) {
+	dir := t.TempDir()
 	cfg := testConfig()
-	cfg.CacheDir = cacheDir
-	cfg.PointCacheDir = pointDir
+	cfg.PointCacheDir = dir
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -135,21 +157,23 @@ func TestShutdownPersistsPointsDespiteCacheError(t *testing.T) {
 	}
 	waitDone(t, j)
 
-	// Sabotage the cache index write: its temp path is a directory, so
-	// os.WriteFile fails regardless of permissions.
-	if err := os.MkdirAll(filepath.Join(cacheDir, "index.json.tmp"), 0o755); err != nil {
+	// Sabotage the index write: its temp path is a directory, so the
+	// write fails regardless of permissions.
+	if err := os.MkdirAll(filepath.Join(dir, "points.json.tmp"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	shutdownErr := s.Shutdown(context.Background())
 	if shutdownErr == nil {
-		t.Fatal("shutdown swallowed the cache index error")
+		t.Fatal("shutdown swallowed the index error")
 	}
-	if !strings.Contains(shutdownErr.Error(), "cache index") {
-		t.Errorf("shutdown error does not name the cache index: %v", shutdownErr)
+	if !strings.Contains(shutdownErr.Error(), "point-store index") {
+		t.Errorf("shutdown error does not name the index: %v", shutdownErr)
 	}
-	if _, err := os.Stat(filepath.Join(pointDir, "points.json")); err != nil {
-		t.Errorf("point index not persisted when the cache index failed: %v", err)
+	st, err := pointstore.New(1<<20, dir)
+	if err != nil {
+		t.Fatalf("dir lock not released after a failed index write: %v", err)
 	}
+	st.Close()
 }
 
 // TestInlineAssemblyEvictionHammer races concurrent submissions (some
@@ -159,7 +183,6 @@ func TestShutdownPersistsPointsDespiteCacheError(t *testing.T) {
 // Done close shows up here.
 func TestInlineAssemblyEvictionHammer(t *testing.T) {
 	cfg := testConfig()
-	cfg.CacheBytes = -1
 	cfg.PointCacheBytes = 1 << 18
 	cfg.QueueCap = 64
 	cfg.Workers = 4
@@ -194,7 +217,7 @@ func TestInlineAssemblyEvictionHammer(t *testing.T) {
 			for i := 0; i < 15; i++ {
 				req := tinyRequest()
 				req.F = []int{32, 64}
-				req.Seed = uint64(1 + (g+i)%3) // few keys: repeats hit the inline path
+				req.Seed = uint64(1 + (g+i)%3) // few keys: repeats hit stored reports or the inline path
 				j, status, err := s.Submit(req)
 				if err != nil {
 					if status == http.StatusTooManyRequests {

@@ -85,8 +85,8 @@ type Event struct {
 	Done  int    `json:"done,omitempty"`
 	Total int    `json:"total,omitempty"`
 	Error string `json:"error,omitempty"`
-	// Cached marks a state event for a job answered entirely from the
-	// report cache.
+	// Cached marks a state event for a job answered entirely from a
+	// stored report.
 	Cached bool `json:"cached,omitempty"`
 	// Fidelity tags a partial event with the tier that produced the
 	// partial ("analytic"); Total carries its cell count.

@@ -47,6 +47,9 @@ type metrics struct {
 	byState map[State]int64 // terminal job counts
 	running int64           // gauge
 
+	reportHits   int64 // submissions answered with a stored report
+	reportMisses int64 // report probes that found nothing
+
 	engineRuns  int64 // sweeps actually executed (not cached/coalesced)
 	sweepPoints int64 // completed simulation cells across all jobs
 
@@ -120,10 +123,12 @@ func (m *metrics) observeQueueWait(seconds float64) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) incSubmitted() { m.mu.Lock(); m.submitted++; m.mu.Unlock() }
-func (m *metrics) incCoalesced() { m.mu.Lock(); m.coalesced++; m.mu.Unlock() }
-func (m *metrics) incRejected()  { m.mu.Lock(); m.rejected++; m.mu.Unlock() }
-func (m *metrics) incRuns()      { m.mu.Lock(); m.engineRuns++; m.mu.Unlock() }
+func (m *metrics) incSubmitted()  { m.mu.Lock(); m.submitted++; m.mu.Unlock() }
+func (m *metrics) incCoalesced()  { m.mu.Lock(); m.coalesced++; m.mu.Unlock() }
+func (m *metrics) incRejected()   { m.mu.Lock(); m.rejected++; m.mu.Unlock() }
+func (m *metrics) incRuns()       { m.mu.Lock(); m.engineRuns++; m.mu.Unlock() }
+func (m *metrics) incReportHit()  { m.mu.Lock(); m.reportHits++; m.mu.Unlock() }
+func (m *metrics) incReportMiss() { m.mu.Lock(); m.reportMisses++; m.mu.Unlock() }
 func (m *metrics) addPoints(n int64) {
 	m.mu.Lock()
 	m.sweepPoints += n
@@ -198,15 +203,8 @@ func (m *metrics) meanJobSeconds() float64 {
 // gauges are point-in-time values owned by the server, passed in at
 // render time.
 type gauges struct {
-	queueDepth  int
-	queueCap    int
-	cacheLen    int
-	cacheDisk   int
-	cacheBytes  int64
-	hits        int64
-	misses      int64
-	spills      int64
-	verifyFails int64
+	queueDepth int
+	queueCap   int
 
 	// Point-store snapshot; pointStore is false when memoization is
 	// disabled (the rrserve_pointstore_* series are then omitted).
@@ -247,13 +245,8 @@ func (m *metrics) writeProm(w io.Writer, g gauges) {
 	gauge("rrserve_queue_depth", "Jobs waiting in the FIFO queue.", int64(g.queueDepth))
 	gauge("rrserve_queue_capacity", "Configured queue capacity.", int64(g.queueCap))
 
-	counter("rrserve_cache_hits_total", "Result-cache hits (memory or verified disk).", g.hits)
-	counter("rrserve_cache_misses_total", "Result-cache misses.", g.misses)
-	counter("rrserve_cache_spills_total", "Entries spilled to the disk tier.", g.spills)
-	counter("rrserve_cache_verify_failures_total", "Disk entries rejected by checksum verification.", g.verifyFails)
-	gauge("rrserve_cache_entries", "In-memory cache entries.", int64(g.cacheLen))
-	gauge("rrserve_cache_disk_entries", "Disk-tier cache entries.", int64(g.cacheDisk))
-	gauge("rrserve_cache_bytes", "In-memory cache payload bytes.", g.cacheBytes)
+	counter("rrserve_cache_hits_total", "Submissions answered with a stored report (memory or verified disk).", m.reportHits)
+	counter("rrserve_cache_misses_total", "Submissions whose report was not stored.", m.reportMisses)
 
 	counter("rrserve_engine_runs_total", "Underlying experiment-engine sweeps executed.", m.engineRuns)
 	counter("rrserve_sweep_points_total", "Simulation cells completed across all jobs.", m.sweepPoints)

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -201,7 +204,7 @@ func TestPointStoreMetricsExported(t *testing.T) {
 		"rrserve_pointstore_evictions_total",
 		"rrserve_pointstore_spill_bytes_total",
 		"rrserve_pointstore_verify_failures_total",
-		"rrserve_pointstore_entries 2",
+		"rrserve_pointstore_entries 3", // two points and the job's report
 		"rrserve_plan_points_total 2",
 		"rrserve_plan_cached_points_total 0",
 	} {
@@ -212,8 +215,10 @@ func TestPointStoreMetricsExported(t *testing.T) {
 }
 
 // TestPointStorePersistsAcrossRestart checks warm-restart behaviour: a
-// daemon with a point-cache directory that shuts down cleanly serves a
-// reordered grid from disk after restart, simulating nothing.
+// daemon with a point-cache directory that shuts down cleanly answers,
+// after restart, an exact repeat from the persisted report and a
+// reordered grid from the persisted points — simulating nothing. The
+// store's points.json is the only index involved.
 func TestPointStorePersistsAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
@@ -224,7 +229,7 @@ func TestPointStorePersistsAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
-	j, _, err := s.Submit(tinyRequest())
+	j, _, err := s.Submit(multiCellRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,6 +239,15 @@ func TestPointStorePersistsAcrossRestart(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".json") && e.Name() != "points.json" {
+			t.Errorf("unexpected index file %s beside points.json", e.Name())
+		}
+	}
 
 	s2, err := New(cfg)
 	if err != nil {
@@ -241,19 +255,93 @@ func TestPointStorePersistsAcrossRestart(t *testing.T) {
 	}
 	s2.Start()
 	defer s2.Shutdown(context.Background())
-	j2, status, err := s2.Submit(tinyRequest())
+
+	// The exact repeat is a report hit: terminal at submit time.
+	j2, status, err := s2.Submit(multiCellRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The report cache may or may not also hit (same CacheDir is not
-	// configured), but the point store must: zero new simulations.
-	if status == http.StatusCreated {
-		waitDone(t, j2)
+	if status != http.StatusOK || !j2.Status(false).Cached {
+		t.Fatalf("restarted repeat: status=%d cached=%v, want 200 from the stored report",
+			status, j2.Status(false).Cached)
 	}
-	if j2.StateNow() != StateDone {
-		t.Fatalf("restarted job state = %s", j2.StateNow())
+	if !bytes.Equal(j2.Result(), j.Result()) {
+		t.Error("restarted report differs from the original")
+	}
+
+	// A reordered grid has no stored report but every point on disk: it
+	// assembles inline.
+	reordered := multiCellRequest()
+	reordered.F = []int{64, 32}
+	j3, status, err := s2.Submit(reordered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusOK || j3.Status(false).Cached || j3.StateNow() != StateDone {
+		t.Fatalf("restarted reorder: status=%d state=%s, want inline assembly", status, j3.StateNow())
 	}
 	if c := s2.PointCounters(); c.Misses != 0 {
 		t.Errorf("restarted daemon simulated %d points, want 0 (disk tier)", c.Misses)
+	}
+}
+
+// TestReportProbeAccounting pins the accounting split between the two
+// entry kinds sharing the store: each report probe moves
+// rrserve_cache_hits_total or rrserve_cache_misses_total by exactly one
+// and leaves the point store's counters alone, so their hits and misses
+// keep meaning "points resolved" and "points simulated".
+func TestReportProbeAccounting(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Shutdown(context.Background())
+	j, _, err := s.Submit(tinyRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+
+	reportCounts := func() (hits, misses int) {
+		rr := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+		for _, line := range strings.Split(rr.Body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "rrserve_cache_hits_total "); ok {
+				hits, _ = strconv.Atoi(v)
+			}
+			if v, ok := strings.CutPrefix(line, "rrserve_cache_misses_total "); ok {
+				misses, _ = strconv.Atoi(v)
+			}
+		}
+		return hits, misses
+	}
+	// figure3 has no point keys: its run never touches the store, so the
+	// miss below is the probe alone.
+	keyless := Request{Experiment: "figure3", Seed: 1}
+	for _, step := range []struct {
+		name                 string
+		req                  Request
+		wantHits, wantMisses int // deltas
+	}{
+		{"sweep report hit", tinyRequest(), 1, 0},
+		{"keyless report miss", keyless, 0, 1},
+		{"keyless report hit", keyless, 1, 0},
+	} {
+		points := s.PointCounters()
+		hits0, misses0 := reportCounts()
+		j, _, err := s.Submit(step.req)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		waitDone(t, j)
+		if got := s.PointCounters(); got != points {
+			t.Errorf("%s moved the point counters: %+v -> %+v", step.name, points, got)
+		}
+		hits, misses := reportCounts()
+		if hits-hits0 != step.wantHits || misses-misses0 != step.wantMisses {
+			t.Errorf("%s: report hits/misses moved by %d/%d, want %d/%d",
+				step.name, hits-hits0, misses-misses0, step.wantHits, step.wantMisses)
+		}
 	}
 }

@@ -33,21 +33,19 @@ type Config struct {
 	PointWorkers int
 	// JobTimeout caps one job's execution (default 10 minutes).
 	JobTimeout time.Duration
-	// CacheBytes is the in-memory result-cache budget (default 64 MiB;
-	// negative disables the memory tier).
+	// CacheBytes is ignored.
+	//
+	// Deprecated: whole reports now live in the point store beside the
+	// sweep points, under PointCacheBytes.
 	CacheBytes int64
-	// CacheDir, when non-empty, holds the disk spill tier and its
-	// persisted index.
-	CacheDir string
-	// PointCacheBytes is the in-memory budget of the point-granular
-	// result store (default 32 MiB; negative disables point-level
-	// memoization entirely). Where the report cache above answers only
-	// exact request repeats, the point store lets overlapping grids
-	// share their common cells.
+	// PointCacheBytes is the in-memory budget of the result store
+	// (default 96 MiB; negative disables memoization entirely). The
+	// store holds one entry per sweep point, so overlapping grids share
+	// their common cells, and one per finished job's canonical report,
+	// so an exact repeat is answered without assembly.
 	PointCacheBytes int64
-	// PointCacheDir, when non-empty, holds the point store's disk
-	// spill tier and persisted index. Keep it distinct from CacheDir
-	// only by preference; the index file names do not collide.
+	// PointCacheDir, when non-empty, holds the store's disk spill tier
+	// and persisted index (points.json).
 	PointCacheDir string
 	// PointCacheShards sets the point store's shard count (rounded up
 	// to a power of two). 0 picks a count matched to GOMAXPROCS. More
@@ -60,7 +58,7 @@ type Config struct {
 	PointCacheSpillQueue int
 	// JobRetention is how long a terminal job (and its result bytes)
 	// stays queryable by ID after finishing (default 15 minutes). The
-	// content-addressed cache keeps the result itself far longer; only
+	// content-addressed store keeps the result itself far longer; only
 	// the per-job status record is pruned.
 	JobRetention time.Duration
 	// MaxJobs caps the job table; past it the oldest terminal jobs are
@@ -117,11 +115,8 @@ func (c Config) withDefaults() Config {
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 10 * time.Minute
 	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 64 << 20
-	}
 	if c.PointCacheBytes == 0 {
-		c.PointCacheBytes = 32 << 20
+		c.PointCacheBytes = 96 << 20
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
@@ -141,12 +136,12 @@ func (c Config) withDefaults() Config {
 // Server is the experiment-as-a-service daemon core: a bounded job
 // queue, a worker pool driving the experiment engine, a single-flight
 // table coalescing identical submissions, and the content-addressed
-// result cache. Wrap Handler in an http.Server to expose it.
+// store of points and reports. Wrap Handler in an http.Server to
+// expose it.
 type Server struct {
 	cfg    Config
 	log    *log.Logger
-	cache  *Cache
-	points *pointstore.Store // nil when point memoization is disabled
+	points *pointstore.Store // nil when memoization is disabled
 	met    *metrics
 	mux    *http.ServeMux
 
@@ -175,7 +170,7 @@ type Server struct {
 	postAdmitHook func(j *Job)
 }
 
-// New builds a Server (loading the disk cache index, if any). Call
+// New builds a Server (loading the store's disk index, if any). Call
 // Start to launch the workers.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
@@ -184,12 +179,9 @@ func New(cfg Config) (*Server, error) {
 	default:
 		return nil, fmt.Errorf("serve: unknown default fidelity %q (want sim, machine, analytic, or adaptive)", cfg.DefaultFidelity)
 	}
-	cache, err := NewCache(cfg.CacheBytes, cfg.CacheDir)
-	if err != nil {
-		return nil, err
-	}
 	var points *pointstore.Store
 	if cfg.PointCacheBytes > 0 {
+		var err error
 		points, err = pointstore.NewWith(cfg.PointCacheBytes, cfg.PointCacheDir, pointstore.Options{
 			Shards:     cfg.PointCacheShards,
 			SpillQueue: cfg.PointCacheSpillQueue,
@@ -202,7 +194,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		log:        cfg.Logger,
-		cache:      cache,
 		points:     points,
 		met:        newMetrics(),
 		baseCtx:    ctx,
@@ -235,8 +226,9 @@ func (s *Server) Start() {
 
 // Shutdown gracefully stops the server: no new submissions are
 // accepted, queued and running jobs get until ctx's deadline to
-// finish, then their contexts are cancelled, and finally the disk
-// cache index is persisted. Safe to call once.
+// finish, then their contexts are cancelled, and finally the store's
+// index is persisted and its directory lock released. Safe to call
+// once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -276,22 +268,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	s.baseCancel()
-	// Persist both indexes even when one fails: skipping the point
-	// store because the report cache errored would silently lose the
-	// warm point index.
-	var errs []error
-	if err := s.cache.SaveIndex(); err != nil {
-		errs = append(errs, fmt.Errorf("serve: persisting cache index: %w", err))
+	if s.points == nil {
+		return nil
 	}
-	if s.points != nil {
-		if err := s.points.SaveIndex(); err != nil {
-			errs = append(errs, fmt.Errorf("serve: persisting point-store index: %w", err))
-		}
-		// Release the point-cache dir's advisory lock so a restarting
-		// process (or a test reopening the dir) can claim it.
-		if err := s.points.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("serve: closing point store: %w", err))
-		}
+	var errs []error
+	if err := s.points.SaveIndex(); err != nil {
+		errs = append(errs, fmt.Errorf("serve: persisting point-store index: %w", err))
+	}
+	// Release the dir's advisory lock even when the index failed, so a
+	// restarting process (or a test reopening the dir) can claim it.
+	if err := s.points.Close(); err != nil {
+		errs = append(errs, fmt.Errorf("serve: closing point store: %w", err))
 	}
 	return errors.Join(errs...)
 }
@@ -306,7 +293,7 @@ const maxInlineMisses = 2
 // Submit validates and enqueues a request, returning the job (which
 // may be an existing in-flight job the submission coalesced onto, or
 // an already-done cached job) plus the HTTP status describing what
-// happened: 201 (new job queued), 200 (coalesced, cache hit, or
+// happened: 201 (new job queued), 200 (coalesced, report hit, or
 // assembled entirely from the point store), 429 (queue full or tenant
 // over its in-flight share), 503 (draining), 400 (invalid).
 func (s *Server) Submit(req Request) (*Job, int, error) {
@@ -388,6 +375,20 @@ func (s *Server) submit(req Request) (*Job, int, error) {
 	return j, http.StatusOK, nil
 }
 
+// report probes the store for a finished job's canonical report bytes.
+// The probe is uncounted in the store (its Counters describe point
+// resolution) and counted here as a report hit or miss instead.
+func (s *Server) report(key string) ([]byte, bool) {
+	if s.points != nil {
+		if data, ok := s.points.Get(key); ok {
+			s.met.incReportHit()
+			return data, true
+		}
+	}
+	s.met.incReportMiss()
+	return nil, false
+}
+
 // dropJob unregisters a job that was admitted but could not be run or
 // queued, releasing its tenant slot and context registration.
 func (s *Server) dropJob(j *Job) {
@@ -431,9 +432,9 @@ func (s *Server) admit(req Request, key string, planned, covered int, partial *p
 		return j, http.StatusOK, false, nil
 	}
 
-	// Content-addressed cache: the result already exists; materialize
-	// a terminal job so the client gets the uniform job interface.
-	if data, ok := s.cache.Get(key); ok {
+	// The report is already stored: materialize a terminal job so the
+	// client gets the uniform job interface.
+	if data, ok := s.report(key); ok {
 		// The refined result already exists, so an adaptive partial
 		// would only be a worse answer to the same question: drop it.
 		j := s.newJobLocked(key, req, planned, covered, nil)
@@ -458,8 +459,8 @@ func (s *Server) admit(req Request, key string, planned, covered int, partial *p
 	}
 	s.met.addPlan(int64(planned), int64(covered))
 
-	// Point-store fast path: the report cache missed (different grid
-	// shape, or evicted) but every point the request addresses is
+	// Point-store fast path: the report missed (different grid shape,
+	// or evicted) but every point the request addresses is
 	// already stored. Hand the job back for inline assembly.
 	if planned > 0 && covered == planned {
 		j := s.newJobLocked(key, req, planned, covered, partial)
@@ -554,8 +555,8 @@ func (s *Server) analyticPhase(req Request) (*partialResult, error) {
 // pruneJobsLocked bounds the job table: terminal jobs past the
 // retention window are dropped, and while the table exceeds MaxJobs the
 // oldest terminal jobs go too. Result bytes live on in the
-// content-addressed cache; only the per-job status record (and its ID)
-// disappears, so a long-running daemon's memory tracks the cache
+// content-addressed store; only the per-job status record (and its ID)
+// disappears, so a long-running daemon's memory tracks the store
 // budget, not every submission ever made. Caller holds s.mu.
 func (s *Server) pruneJobsLocked() {
 	cutoff := time.Now().Add(-s.cfg.JobRetention)
@@ -664,12 +665,14 @@ func (s *Server) runOne(j *Job) {
 	switch {
 	case err == nil:
 		final = StateDone
-		s.cache.Put(j.Key, data)
-		if sk, ok := j.Req.simKey(); ok {
-			// An adaptive job's converged bytes ARE the sim report; warm
-			// the sim-tier twin so a later fidelity=sim submission of the
-			// same request is a cache hit.
-			s.cache.Put(sk, data)
+		if s.points != nil {
+			s.points.Put(j.Key, data)
+			if sk, ok := j.Req.simKey(); ok {
+				// An adaptive job's converged bytes ARE the sim report; warm
+				// the sim-tier twin so a later fidelity=sim submission of
+				// the same request is a report hit.
+				s.points.Put(sk, data)
+			}
 		}
 		j.finalize(StateDone, data, nil)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -736,7 +739,7 @@ func (s *Server) QueueDepth() int { return s.queue.depth() }
 
 // Points returns the server's point store (nil when point memoization
 // is disabled). A worker-mode daemon hands it to the cluster compute
-// handler so shard requests share the serving path's cache.
+// handler so shard requests share the serving path's store.
 func (s *Server) Points() *pointstore.Store { return s.points }
 
 // PointCounters returns the point store's event counters (zero values
@@ -916,18 +919,10 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses, spills, verifyFails := s.cache.Counters()
 	g := gauges{
-		queueDepth:  s.QueueDepth(),
-		queueCap:    s.cfg.QueueCap,
-		cacheLen:    s.cache.Len(),
-		cacheDisk:   s.cache.DiskLen(),
-		cacheBytes:  s.cache.Bytes(),
-		hits:        hits,
-		misses:      misses,
-		spills:      spills,
-		verifyFails: verifyFails,
-		tenants:     s.queue.tenantsSnapshot(),
+		queueDepth: s.QueueDepth(),
+		queueCap:   s.cfg.QueueCap,
+		tenants:    s.queue.tenantsSnapshot(),
 	}
 	if s.points != nil {
 		g.pointStore = true

@@ -521,7 +521,7 @@ func TestGracefulShutdownCancelsInFlight(t *testing.T) {
 
 func TestHTTPEndToEnd(t *testing.T) {
 	cfg := testConfig()
-	cfg.CacheDir = t.TempDir()
+	cfg.PointCacheDir = t.TempDir()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

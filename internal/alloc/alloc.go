@@ -45,6 +45,15 @@ func (c Context) RRM() int { return c.Base }
 // allocator rounds up to its supported context size. Implementations
 // are not safe for concurrent use (they model a per-processor runtime
 // structure).
+//
+// A failed Alloc obeys a contract the node simulator's admission scan
+// relies on (pinned by TestFailedAllocContract):
+//
+//   - Monotonicity: if Alloc(r) fails, Alloc(r') fails for every
+//     r' >= r that the allocator accepts (Bitmap and Buddy panic above
+//     their maximum context size rather than fail).
+//   - No side effects: a failed Alloc leaves FreeRegisters and every
+//     later placement exactly as if it had never been called.
 type Allocator interface {
 	// Alloc returns a context with Size >= required, or ok=false if no
 	// suitable block is free.

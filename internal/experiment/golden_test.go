@@ -2,12 +2,15 @@ package experiment_test
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"testing"
 
 	"regreloc/internal/experiment"
 	"regreloc/internal/pointstore"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the quick-scale golden reports from the current simulator")
 
 // TestFigure5QuickGolden pins the figure5 quick-scale report to the
 // exact bytes it produced before the allocation-free rework of the
@@ -19,28 +22,43 @@ import (
 // correctness bug, not a tuning choice.
 //
 // To regenerate after an INTENTIONAL behaviour change (new columns, a
-// model fix), write experiment.CSV of figure5's Run(1, Quick) report
-// over the golden file and say why in the commit message.
-func TestFigure5QuickGolden(t *testing.T) {
+// model fix), run the golden tests with -update and say why in the
+// commit message.
+func TestFigure5QuickGolden(t *testing.T) { checkQuickGolden(t, "figure5") }
+
+// TestFigure6QuickGolden is TestFigure5QuickGolden for the
+// synchronization-fault figure, whose two-phase policy drives the
+// probe and unload paths that figure5's never-unload policy skips.
+func TestFigure6QuickGolden(t *testing.T) { checkQuickGolden(t, "figure6") }
+
+func checkQuickGolden(t *testing.T, id string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("quick sweep is a few seconds; skipped in -short")
 	}
-	want, err := os.ReadFile("testdata/figure5_quick_seed1.golden.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok := experiment.Get("figure5")
+	path := "testdata/" + id + "_quick_seed1.golden.csv"
+	e, ok := experiment.Get(id)
 	if !ok {
-		t.Fatal("figure5 experiment not registered")
+		t.Fatalf("%s experiment not registered", id)
 	}
 	r := e.Run(1, experiment.Quick)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
 	got := []byte(experiment.CSV(r))
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("figure5 quick seed=1 report is not byte-identical to the golden file (got %d bytes, want %d); simulation results drifted",
-			len(got), len(want))
+		t.Fatalf("%s quick seed=1 report is not byte-identical to the golden file (got %d bytes, want %d); simulation results drifted",
+			id, len(got), len(want))
 	}
 }
 

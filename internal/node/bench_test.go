@@ -30,3 +30,32 @@ func BenchmarkRunChurnRegime(b *testing.B) {
 	benchRun(b, FlexibleConfig(64, policy.TwoPhase{}, 8),
 		workload.SyncFaults(32, 2048, workload.PaperCtxSize(), 32, 4000))
 }
+
+// BenchmarkRunColdSweepCells runs the cells that dominate the
+// benchmark's cold-sweep workload, at quick scale (32 threads, work
+// max(100·R, 2000)): figure5's F=64 R=8 L=128 with the never-unload
+// policy and figure6's F=64 R=32 L=512 with two-phase unloading, each
+// on the fixed and the flexible architecture. One op is all four
+// cells; probes/op shows how much of the run is spin-probing.
+func BenchmarkRunColdSweepCells(b *testing.B) {
+	type cell struct {
+		cfg  Config
+		spec workload.Spec
+	}
+	cells := []cell{
+		{FixedConfig(64, policy.Never{}, 6), workload.CacheFaults(8, 128, workload.PaperCtxSize(), 32, 2000)},
+		{FlexibleConfig(64, policy.Never{}, 6), workload.CacheFaults(8, 128, workload.PaperCtxSize(), 32, 2000)},
+		{FixedConfig(64, policy.TwoPhase{}, 8), workload.SyncFaults(32, 512, workload.PaperCtxSize(), 32, 3200)},
+		{FlexibleConfig(64, policy.TwoPhase{}, 8), workload.SyncFaults(32, 512, workload.PaperCtxSize(), 32, 3200)},
+	}
+	var cycles, probes int64
+	for i := 0; i < b.N; i++ {
+		for _, c := range cells {
+			res := Run(c.cfg, c.spec, uint64(i+1))
+			cycles += res.Full.Total()
+			probes += res.Probes
+		}
+	}
+	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
+	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+}

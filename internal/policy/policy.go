@@ -7,25 +7,37 @@
 // selection of a particular thread unloading policy".
 package policy
 
-import "regreloc/internal/thread"
+import (
+	"math"
 
-// Unload decides whether a blocked resident thread should now be
-// unloaded. The node simulator consults it whenever it probes a
-// blocked context.
+	"regreloc/internal/thread"
+)
+
+// Unload decides when a blocked resident thread should be unloaded,
+// stated as the poll cost at which it unloads. The node simulator
+// consults it whenever it probes a blocked context, and uses the same
+// threshold to fast-forward whole probe rounds that cannot unload
+// anybody.
 type Unload interface {
-	// ShouldUnload reports whether t (blocked, resident) should be
-	// unloaded, given the accumulated polling cost recorded on the
-	// thread.
-	ShouldUnload(t *thread.Thread) bool
+	// UnloadAt returns the accumulated polling cost at which t
+	// (blocked, resident) is unloaded: a probe that brings t.PollCost
+	// to at least this value unloads it. math.MaxInt64 means never.
+	UnloadAt(t *thread.Thread) int64
 	// Name identifies the policy in experiment output.
 	Name() string
+}
+
+// ShouldUnload reports whether p unloads t given the polling cost
+// accumulated on the thread.
+func ShouldUnload(p Unload, t *thread.Thread) bool {
+	return t.PollCost >= p.UnloadAt(t)
 }
 
 // Never keeps every context resident forever (Section 3.2).
 type Never struct{}
 
-// ShouldUnload implements Unload: always false.
-func (Never) ShouldUnload(*thread.Thread) bool { return false }
+// UnloadAt implements Unload: never.
+func (Never) UnloadAt(*thread.Thread) int64 { return math.MaxInt64 }
 
 // Name implements Unload.
 func (Never) Name() string { return "never" }
@@ -38,10 +50,8 @@ func (Never) Name() string { return "never" }
 // — exactly the classic competitive ski-rental threshold.
 type TwoPhase struct{}
 
-// ShouldUnload implements Unload.
-func (TwoPhase) ShouldUnload(t *thread.Thread) bool {
-	return t.PollCost >= t.UnloadCost()
-}
+// UnloadAt implements Unload: the thread's unload cost.
+func (TwoPhase) UnloadAt(t *thread.Thread) int64 { return t.UnloadCost() }
 
 // Name implements Unload.
 func (TwoPhase) Name() string { return "two-phase" }
@@ -51,8 +61,8 @@ func (TwoPhase) Name() string { return "two-phase" }
 // churn.
 type Always struct{}
 
-// ShouldUnload implements Unload: true on any probe.
-func (Always) ShouldUnload(*thread.Thread) bool { return true }
+// UnloadAt implements Unload: at the first probe.
+func (Always) UnloadAt(*thread.Thread) int64 { return 0 }
 
 // Name implements Unload.
 func (Always) Name() string { return "always" }

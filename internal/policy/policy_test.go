@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"testing"
 
 	"regreloc/internal/rng"
@@ -10,7 +11,7 @@ import (
 func TestNever(t *testing.T) {
 	th := thread.New(0, 8, 100)
 	th.PollCost = 1 << 40
-	if (Never{}).ShouldUnload(th) {
+	if ShouldUnload(Never{}, th) {
 		t.Error("Never unloaded a thread")
 	}
 	if (Never{}).Name() != "never" {
@@ -20,7 +21,7 @@ func TestNever(t *testing.T) {
 
 func TestAlways(t *testing.T) {
 	th := thread.New(0, 8, 100)
-	if !(Always{}).ShouldUnload(th) {
+	if !ShouldUnload(Always{}, th) {
 		t.Error("Always kept a thread")
 	}
 	if (Always{}).Name() != "always" {
@@ -34,11 +35,11 @@ func TestTwoPhaseThreshold(t *testing.T) {
 	th := thread.New(0, 14, 100) // unload cost 24
 	p := TwoPhase{}
 	th.PollCost = 23
-	if p.ShouldUnload(th) {
+	if ShouldUnload(p, th) {
 		t.Error("unloaded below threshold")
 	}
 	th.PollCost = 24
-	if !p.ShouldUnload(th) {
+	if !ShouldUnload(p, th) {
 		t.Error("kept at threshold")
 	}
 	if p.Name() != "two-phase" {
@@ -53,10 +54,10 @@ func TestTwoPhaseLargerContextsPolledLonger(t *testing.T) {
 	large := thread.New(1, 24, 100)
 	p := TwoPhase{}
 	small.PollCost, large.PollCost = 16, 16
-	if !p.ShouldUnload(small) {
+	if !ShouldUnload(p, small) {
 		t.Error("small context not unloaded at its threshold")
 	}
-	if p.ShouldUnload(large) {
+	if ShouldUnload(p, large) {
 		t.Error("large context unloaded before its threshold")
 	}
 }
@@ -86,7 +87,7 @@ func TestTwoPhaseCompetitiveRatio(t *testing.T) {
 				// Fault completed before eviction: cost = polls so far.
 				break
 			}
-			if p.ShouldUnload(th) {
+			if ShouldUnload(p, th) {
 				online += unloadCost
 				break
 			}
@@ -108,5 +109,18 @@ func TestTwoPhaseCompetitiveRatio(t *testing.T) {
 			t.Fatalf("trial %d (C=%d, latency=%d): online %d > 2x optimal %d",
 				trial, th.Regs, latency, online, optimal)
 		}
+	}
+}
+
+func TestUnloadAtThresholds(t *testing.T) {
+	th := thread.New(0, 14, 100)
+	if got := (Never{}).UnloadAt(th); got != math.MaxInt64 {
+		t.Errorf("Never.UnloadAt = %d, want MaxInt64", got)
+	}
+	if got := (TwoPhase{}).UnloadAt(th); got != th.UnloadCost() {
+		t.Errorf("TwoPhase.UnloadAt = %d, want the unload cost %d", got, th.UnloadCost())
+	}
+	if got := (Always{}).UnloadAt(th); got != 0 {
+		t.Errorf("Always.UnloadAt = %d, want 0", got)
 	}
 }

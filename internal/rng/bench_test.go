@@ -34,3 +34,15 @@ func BenchmarkExponential(b *testing.B) {
 		b.Fatal("impossible")
 	}
 }
+
+func BenchmarkGeometricDist(b *testing.B) {
+	r := New(1)
+	g := NewGeometric(32)
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		sink += g.Sample(r)
+	}
+	if sink < 0 {
+		b.Fatal("impossible")
+	}
+}

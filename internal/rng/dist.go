@@ -28,11 +28,30 @@ func (c Constant) Mean() float64 { return float64(c.Value) }
 func (c Constant) String() string { return fmt.Sprintf("constant(%d)", c.Value) }
 
 // Geometric is a geometric distribution with the given mean and support
-// {1, 2, ...}. It models a fixed per-cycle fault probability.
-type Geometric struct{ MeanValue float64 }
+// {1, 2, ...}. It models a fixed per-cycle fault probability. Build it
+// with NewGeometric on sampling hot paths: a Geometric{MeanValue: m}
+// literal also works, but recomputes the log constant on every sample.
+type Geometric struct {
+	MeanValue float64
+	// logQ caches log(1-1/MeanValue); zero means not computed.
+	logQ float64
+}
 
-// Sample implements Dist.
-func (g Geometric) Sample(src *Source) int { return src.Geometric(g.MeanValue) }
+// NewGeometric returns a geometric distribution with the given mean
+// and its sampling constant precomputed.
+func NewGeometric(mean float64) Geometric {
+	return Geometric{MeanValue: mean, logQ: geometricLogQ(mean)}
+}
+
+// Sample implements Dist. It draws exactly the bits Source.Geometric
+// draws for the same mean.
+func (g Geometric) Sample(src *Source) int {
+	logQ := g.logQ
+	if logQ == 0 {
+		logQ = geometricLogQ(g.MeanValue)
+	}
+	return src.geometric(g.MeanValue, logQ)
+}
 
 // Mean implements Dist.
 func (g Geometric) Mean() float64 { return g.MeanValue }

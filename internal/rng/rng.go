@@ -128,18 +128,29 @@ func (r *Source) Exponential(mean float64) float64 {
 // Geometric returns a geometrically distributed sample (support 1, 2,
 // ...) with the given mean. A geometric run length with mean R models a
 // fixed fault probability of 1/R on every execution cycle (paper
-// Section 3.2). It panics if mean < 1.
+// Section 3.2). It panics if mean < 1. Sampling a fixed mean many
+// times is cheaper through NewGeometric, which computes the log once.
 func (r *Source) Geometric(mean float64) int {
+	return r.geometric(mean, geometricLogQ(mean))
+}
+
+// geometricLogQ is log(1-p) for p = 1/mean, the per-distribution
+// constant of geometric inverse-transform sampling.
+func geometricLogQ(mean float64) float64 { return math.Log(1 - 1/mean) }
+
+// geometric samples with a precomputed logQ = geometricLogQ(mean);
+// Source.Geometric and Geometric.Sample share it, so both produce the
+// same bits.
+func (r *Source) geometric(mean, logQ float64) int {
 	if mean < 1 {
 		panic("rng: Geometric called with mean < 1")
 	}
 	if mean == 1 {
 		return 1
 	}
-	p := 1 / mean
 	// Inverse transform: ceil(ln(U) / ln(1-p)) for U in (0,1).
 	u := 1 - r.Float64() // in (0, 1]
-	k := math.Ceil(math.Log(u) / math.Log(1-p))
+	k := math.Ceil(math.Log(u) / logQ)
 	if k < 1 {
 		k = 1
 	}

@@ -317,3 +317,20 @@ func TestDeriveSeedStreamsDecorrelated(t *testing.T) {
 		prev = v
 	}
 }
+
+// TestGeometricCachedConstantIsBitIdentical pins that hoisting the
+// log constant changed no sample: NewGeometric, a bare Geometric
+// literal and Source.Geometric draw identical streams for every mean,
+// including the non-integer means of combined workloads.
+func TestGeometricCachedConstantIsBitIdentical(t *testing.T) {
+	for _, mean := range []float64{1, 1.5, 8, 32, 128, 512, 1 / (1.0/32 + 1.0/64)} {
+		a, b, c := New(5), New(5), New(5)
+		cached, literal := NewGeometric(mean), Geometric{MeanValue: mean}
+		for i := 0; i < 10000; i++ {
+			x, y, z := cached.Sample(a), literal.Sample(b), c.Geometric(mean)
+			if x != y || y != z {
+				t.Fatalf("mean %g sample %d: NewGeometric %d, literal %d, Source.Geometric %d", mean, i, x, y, z)
+			}
+		}
+	}
+}

@@ -106,7 +106,7 @@ func PaperCtxSize() rng.Dist { return rng.UniformInt{Lo: 6, Hi: 24} }
 func CacheFaults(r, l int, ctx rng.Dist, threads int, workPer int64) Spec {
 	return Spec{
 		Name:    fmt.Sprintf("cache R=%d L=%d", r, l),
-		RunLen:  rng.Geometric{MeanValue: float64(r)},
+		RunLen:  rng.NewGeometric(float64(r)),
 		Latency: rng.Constant{Value: l},
 		CtxSize: ctx,
 		Work:    rng.Constant{Value: int(workPer)},
@@ -119,7 +119,7 @@ func CacheFaults(r, l int, ctx rng.Dist, threads int, workPer int64) Spec {
 func SyncFaults(r, l int, ctx rng.Dist, threads int, workPer int64) Spec {
 	return Spec{
 		Name:    fmt.Sprintf("sync R=%d L=%d", r, l),
-		RunLen:  rng.Geometric{MeanValue: float64(r)},
+		RunLen:  rng.NewGeometric(float64(r)),
 		Latency: rng.Exponential{MeanValue: float64(l)},
 		CtxSize: ctx,
 		Work:    rng.Constant{Value: int(workPer)},
@@ -140,7 +140,7 @@ func Combined(rCache, lCache, rSync, lSync int, ctx rng.Dist, threads int, workP
 	pCache := (1 / float64(rCache)) / combinedRate
 	return Spec{
 		Name:    fmt.Sprintf("combined Rc=%d Lc=%d Rs=%d Ls=%d", rCache, lCache, rSync, lSync),
-		RunLen:  rng.Geometric{MeanValue: 1 / combinedRate},
+		RunLen:  rng.NewGeometric(1 / combinedRate),
 		Latency: mixture{p: pCache, a: rng.Constant{Value: lCache}, b: rng.Exponential{MeanValue: float64(lSync)}},
 		CtxSize: ctx,
 		Work:    rng.Constant{Value: int(workPer)},

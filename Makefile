@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint-asm lint-asm-sarif bench bench-json bench-smoke bench-gate examples figures data serve-smoke load-smoke cluster-smoke cluster-bench clean
+.PHONY: all build test test-race vet lint-asm lint-asm-sarif bench bench-json bench-smoke perfbench-smoke bench-gate examples figures data serve-smoke load-smoke cluster-smoke cluster-bench clean
 
 all: test
 
@@ -77,6 +77,13 @@ bench-json:
 # runs this; it is not a performance measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The repository benchmark's own tests (perfbench/ is a separate Go
+# module): a short run of every workload against the BENCHMARK.json
+# metric names, the byte oracle's flipped-byte check, and the seed
+# determinism and repeatable node.* count checks.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # Serving-throughput regression gate: the pinned serve benchmarks must
 # stay within 15% of the best points/s recorded for this machine class

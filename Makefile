@@ -9,8 +9,12 @@ all: test
 build:
 	$(GO) build ./...
 
+# vet also gates formatting: it fails listing any file gofmt would
+# rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 
 test: vet
 	$(GO) test ./...

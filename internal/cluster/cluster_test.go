@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"regreloc/internal/cluster"
+	"regreloc/internal/experiment"
 	"regreloc/internal/serve"
 )
 
@@ -82,9 +83,22 @@ func newClient(t *testing.T, cfg cluster.Config) *cluster.Client {
 	return c
 }
 
-// runJob submits one sweep through a serve.Server and returns its
-// report bytes.
+// jobReq is the sweep runJob submits: 8 figure5 cells.
+var jobReq = serve.Request{
+	Experiment: "figure5", Seed: 1, Scale: "quick",
+	F: []int{32, 64}, R: []int{8, 32}, L: []int{16},
+}
+
+// runJob submits jobReq through a serve.Server and returns its report
+// bytes.
 func runJob(t *testing.T, cfg serve.Config) []byte {
+	t.Helper()
+	return runRequest(t, cfg, jobReq)
+}
+
+// runRequest submits one request through a fresh serve.Server and
+// returns its report bytes.
+func runRequest(t *testing.T, cfg serve.Config, req serve.Request) []byte {
 	t.Helper()
 	cfg.QueueCap, cfg.Workers, cfg.PointWorkers = 4, 1, 2
 	cfg.JobTimeout = time.Minute
@@ -95,10 +109,7 @@ func runJob(t *testing.T, cfg serve.Config) []byte {
 	}
 	s.Start()
 	defer s.Shutdown(context.Background())
-	j, _, err := s.Submit(serve.Request{
-		Experiment: "figure5", Seed: 1, Scale: "quick",
-		F: []int{32, 64}, R: []int{8, 32}, L: []int{16},
-	})
+	j, _, err := s.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,20 +160,47 @@ func TestClusterByteIdenticalToSingleNode(t *testing.T) {
 // TestClusterSurvivesWorkerDeath kills one of three workers mid-sweep
 // — it is admitted healthy, then every compute request to it fails —
 // and requires the sweep to finish with byte-identical results via
-// retries against the survivors.
+// retries against the survivors. The worker to kill is the ring owner
+// of the sweep's first key, so it always owns at least one batch
+// whatever ports the test servers get.
 func TestClusterSurvivesWorkerDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real sweeps")
 	}
 	single := runJob(t, serve.Config{})
 
-	dead := newTestWorker(t, func(h http.Handler, rw http.ResponseWriter, r *http.Request) {
-		http.Error(rw, "worker killed", http.StatusInternalServerError)
-	})
-	w2, w3 := newTestWorker(t, nil), newTestWorker(t, nil)
+	var deadIdx atomic.Int64
+	deadIdx.Store(-1)
+	ws := make([]*testWorker, 3)
+	for i := range ws {
+		ws[i] = newTestWorker(t, func(h http.Handler, rw http.ResponseWriter, r *http.Request) {
+			if deadIdx.Load() == int64(i) {
+				http.Error(rw, "worker killed", http.StatusInternalServerError)
+				return
+			}
+			h.ServeHTTP(rw, r)
+		})
+	}
+	ring := cluster.NewRing(0)
+	for _, u := range urls(ws...) {
+		ring.Add(u)
+	}
+	e, _ := experiment.Get(jobReq.Experiment)
+	keys := e.PointKeys(jobReq.Seed, experiment.Quick, experiment.Grids{F: jobReq.F, R: jobReq.R, L: jobReq.L})
+	owner, _ := ring.Owner(keys[0])
+	for i, u := range urls(ws...) {
+		if u == owner {
+			deadIdx.Store(int64(i))
+		}
+	}
+	if deadIdx.Load() < 0 {
+		t.Fatalf("first key's owner %q is not a worker", owner)
+	}
+	dead := ws[deadIdx.Load()]
+
 	cl := newClient(t, cluster.Config{
-		Workers:   urls(dead, w2, w3),
-		BatchSize: 1, // many small batches so the dead worker owns some
+		Workers:   urls(ws...),
+		BatchSize: 1, // one point per batch: many independent retries
 		Retries:   3,
 	})
 	clustered := runJob(t, serve.Config{Remote: cl})
@@ -179,6 +217,38 @@ func TestClusterSurvivesWorkerDeath(t *testing.T) {
 	}
 	if c.Points == 0 {
 		t.Fatalf("survivors answered no points: %+v", c)
+	}
+}
+
+// TestAblationsNeverReachFleet: the one-off ablation sweeps are not
+// registered grid sweeps, so no worker could rebuild their cells by
+// ID. A coordinator must run them locally — no compute request, no
+// failed batch, no ejected worker — and produce single-node bytes.
+func TestAblationsNeverReachFleet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real sweeps")
+	}
+	w1, w2, w3 := newTestWorker(t, nil), newTestWorker(t, nil), newTestWorker(t, nil)
+	cl := newClient(t, cluster.Config{Workers: urls(w1, w2, w3)})
+	if err := cl.Ready(3); err != nil {
+		t.Fatalf("fleet not healthy after Start: %v", err)
+	}
+	for _, id := range []string{"ablation-policy", "ablation-alloc", "ablation-dribble", "ablation-rounding"} {
+		req := serve.Request{Experiment: id, Seed: 1, Scale: "quick"}
+		single := runRequest(t, serve.Config{}, req)
+		clustered := runRequest(t, serve.Config{Remote: cl}, req)
+		if !bytes.Equal(single, clustered) {
+			t.Errorf("%s: coordinator report differs from single-node (%d vs %d bytes)", id, len(clustered), len(single))
+		}
+	}
+	if got := w1.computes.Load() + w2.computes.Load() + w3.computes.Load(); got != 0 {
+		t.Errorf("workers received %d compute requests for ablation sweeps, want 0", got)
+	}
+	if c := cl.Counters(); c.BatchFails != 0 || c.Batches != 0 {
+		t.Errorf("ablation sweeps reached the fleet: %+v", c)
+	}
+	if got := cl.HealthyCount(); got != 3 {
+		t.Errorf("HealthyCount = %d after ablation jobs, want 3 (no worker ejected)", got)
 	}
 }
 

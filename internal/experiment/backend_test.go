@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"regreloc/internal/pointstore"
-	"regreloc/internal/policy"
 )
 
 // TestCrossTierDecodeRejected is the cross-tier pollution regression
@@ -110,8 +109,11 @@ func TestCrossTierStoreIsolation(t *testing.T) {
 func TestAnalyticBackendModel(t *testing.T) {
 	sc := Quick
 	sc.Fidelity = FidelityAnalytic
-	archs := []archSpec{fixedArch(6, policy.Never{})} // figure5's fixed arch
-	ms, err := sweep("figure5", 1, sc, []int{128}, []int{8}, []int{16}, cacheFaultSpec, archs)
+	pts, err := figure5.points(1, sc, []Cell{{F: 128, R: 8, L: 16, Arch: "fixed"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := execute(sc, pts)
 	if err != nil {
 		t.Fatal(err)
 	}

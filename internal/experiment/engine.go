@@ -35,10 +35,10 @@ import (
 // the function producing the cell's measurements. run must not touch
 // state shared with other points. key, when non-empty, is the cell's
 // content address (pointKey) and makes it memoizable; points without a
-// key always simulate. cell, when non-zero (Arch != ""), carries the
-// grid coordinates so the point can be shipped to a remote computer
-// (Scale.Remote); keyless or coordinate-less points always run
-// locally.
+// key always simulate. cell carries a grid sweep point's coordinates so
+// it can be shipped to a remote computer (Scale.Remote); only
+// registered grid sweeps name themselves to the engine (sweepMeta), so
+// every other point list runs locally.
 type point struct {
 	seed uint64
 	key  string
@@ -58,8 +58,9 @@ func (p point) runLocal(s Scale) []Measurement {
 
 // sweepMeta names the sweep a point list belongs to; a remote computer
 // needs it to rebuild cells from coordinates. The zero value marks a
-// point list that is not a grid sweep (heterogeneous experiments) and
-// therefore never leaves the process.
+// point list no worker could rebuild by ID — heterogeneous experiments
+// and unregistered sweeps (the ablations) — which therefore never
+// leaves the process.
 type sweepMeta struct {
 	experiment string
 	seed       uint64
@@ -83,18 +84,38 @@ func execute(scale Scale, pts []point) ([]Measurement, error) {
 	return executeSweep(sweepMeta{}, scale, pts)
 }
 
-// executeSweep is execute with the sweep's identity attached. Between
-// the cache pre-pass and the local worker pool it inserts an optional
-// remote phase: when the scale carries a Remote computer and the meta
-// names a registered experiment, the still-missing keyed cells are
-// offered to the remote tier, results are matched back by content
-// address (duplicates and unknown keys dropped), verified by decoding,
-// and stored locally. Whatever the remote tier does not deliver — a
-// failed batch, an ejected worker, a version-skewed key — falls
-// through to the local pool, so remote execution can only speed a
-// sweep up.
+// executeSweep is execute with the sweep's identity attached (see
+// resolve): the points' measurements flattened in point order.
 func executeSweep(meta sweepMeta, scale Scale, pts []point) ([]Measurement, error) {
-	results := make([][]Measurement, len(pts))
+	res, err := resolve(meta, scale, pts)
+	var out []Measurement
+	for _, r := range res {
+		out = append(out, r.ms...)
+	}
+	return out, err
+}
+
+// resolution is one point's outcome: its measurements and, when it
+// resolved through the point store or the remote tier, the encoded
+// bytes it resolved to. data is nil for a storeless local simulation.
+type resolution struct {
+	ms   []Measurement
+	data []byte
+}
+
+// resolve is the engine's one cell resolver: store pre-pass, optional
+// remote phase, then the local worker pool with store single-flight
+// and decode fallback. Between the cache pre-pass and the local pool,
+// when the scale carries a Remote computer and the meta names a
+// registered sweep, the still-missing keyed cells are offered to the
+// remote tier, results are matched back by content address
+// (duplicates and unknown keys dropped), verified by decoding, and
+// stored locally. Whatever the remote tier does not deliver — a failed
+// batch, an ejected worker, a version-skewed key — falls through to
+// the local pool, so remote execution can only speed a sweep up.
+// Points a cancelled run never reached have a zero resolution.
+func resolve(meta sweepMeta, scale Scale, pts []point) ([]resolution, error) {
+	results := make([]resolution, len(pts))
 	store := scale.PointStore
 	progress := scale.progressHook()
 	fid := scale.fidelity()
@@ -133,7 +154,7 @@ func executeSweep(meta sweepMeta, scale Scale, pts []point) ([]Measurement, erro
 		decodeOne := func(ci int) {
 			i := cand[ci]
 			if ms, err := decodeMeasurements(fid, datas[i]); err == nil {
-				results[i] = ms
+				results[i] = resolution{ms, datas[i]}
 				onPoint(ms)
 			}
 			// Undecodable entry (e.g. written by a codec this build no
@@ -151,7 +172,7 @@ func executeSweep(meta sweepMeta, scale Scale, pts []point) ([]Measurement, erro
 			}
 		}
 		for i := range pts {
-			if results[i] == nil {
+			if results[i].ms == nil {
 				todo = append(todo, i)
 			}
 		}
@@ -179,9 +200,6 @@ func executeSweep(meta sweepMeta, scale Scale, pts []point) ([]Measurement, erro
 		rpts := make([]RemotePoint, 0, len(todo))
 		for _, i := range todo {
 			p := pts[i]
-			if p.key == "" || p.cell.Arch == "" {
-				continue
-			}
 			if _, dup := byKey[p.key]; !dup {
 				rpts = append(rpts, RemotePoint{
 					Key: p.key, F: p.cell.F, R: p.cell.R, L: p.cell.L, Arch: p.cell.Arch,
@@ -204,8 +222,8 @@ func executeSweep(meta sweepMeta, scale Scale, pts []point) ([]Measurement, erro
 				filled := 0
 				mu.Lock()
 				for _, i := range idxs {
-					if results[i] == nil {
-						results[i] = ms
+					if results[i].ms == nil {
+						results[i] = resolution{ms, data}
 						done++
 						filled++
 					}
@@ -249,7 +267,7 @@ func executeSweep(meta sweepMeta, scale Scale, pts []point) ([]Measurement, erro
 			}, emit)
 			remaining := todo[:0]
 			for _, i := range todo {
-				if results[i] == nil {
+				if results[i].ms == nil {
 					remaining = append(remaining, i)
 				}
 			}
@@ -261,8 +279,8 @@ func executeSweep(meta sweepMeta, scale Scale, pts []point) ([]Measurement, erro
 		i := todo[ti]
 		p := pts[i]
 		if store == nil || p.key == "" {
-			results[i] = p.runLocal(scale)
-			onPoint(results[i])
+			results[i].ms = p.runLocal(scale)
+			onPoint(results[i].ms)
 			return
 		}
 		// Single-flight through the store: if a concurrent sweep is
@@ -282,18 +300,14 @@ func executeSweep(meta sweepMeta, scale Scale, pts []point) ([]Measurement, erro
 			if doErr != nil {
 				// Joined a flight that failed, or shared bytes we cannot
 				// decode: simulate locally rather than failing the sweep.
-				ms = p.runLocal(scale)
+				ms, data = p.runLocal(scale), nil
 			}
 		}
-		results[i] = ms
+		results[i] = resolution{ms, data}
 		onPoint(ms)
 	})
 
-	var out []Measurement
-	for _, ms := range results {
-		out = append(out, ms...)
-	}
-	return out, err
+	return results, err
 }
 
 // forEach runs fn(0), ..., fn(n-1) on the scale's worker pool,

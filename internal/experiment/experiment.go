@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"regreloc/internal/node"
@@ -232,13 +233,13 @@ type Experiment struct {
 	RunGrid func(seed uint64, scale Scale, g Grids) *Report
 	// PointKeys, when non-nil, returns the content address of every
 	// point the corresponding RunGrid call would simulate, in cell
-	// order, without running anything (see sweepKeys). Planners use it
+	// order, without running anything (see gridSweep.keys). Planners use it
 	// to partition a request into cached and to-compute points before
 	// committing resources.
 	PointKeys func(seed uint64, scale Scale, g Grids) []string
 	// ComputeCells, when non-nil, computes an explicit list of cells
 	// (any subset of any grid) and returns their encoded measurements
-	// keyed by content address (see sweepCells). Cluster workers use
+	// keyed by content address (see gridSweep.compute). Cluster workers use
 	// it to serve shard-scoped compute requests; cells resolve through
 	// the scale's point store exactly like a full sweep, so worker
 	// caches stay effective across overlapping jobs.
@@ -280,8 +281,8 @@ func IDs() []string {
 	return append([]string(nil), registryOrder...)
 }
 
-// sweep runs a fixed-vs-flexible comparison over the full (F, R, L)
-// grid for the given workload builder and architectures.
+// archSpec names one architecture of a sweep and builds its node
+// configuration for a register file size.
 type archSpec struct {
 	name string
 	cfg  func(fileSize int) node.Config
@@ -290,64 +291,159 @@ type archSpec struct {
 // specFn builds the workload for one (R, L) cell. It receives the
 // scale so population size can enter the spec; it must be a pure
 // function of its arguments, because the same builder serves both
-// whole-grid sweeps (sweepInto) and shard-scoped cell lists
-// (sweepCells) — possibly in different processes, whose results must
-// be byte-identical.
+// whole-grid sweeps (RunGrid) and shard-scoped cell lists
+// (ComputeCells) — possibly in different processes, whose results
+// must be byte-identical.
 type specFn func(scale Scale, rl, l int, work int64) workload.Spec
 
 // panelName is the single source of truth for a cell's panel label, so
 // grid sweeps and remote cell computation agree byte-for-byte.
 func panelName(f int) string { return fmt.Sprintf("F=%d", f) }
 
-// cellPoint builds the schedulable point for one (F, R, L, arch) cell.
-// All per-point derivation lives here — the RNG seed (from the cell
-// coordinates and the arch's index in the experiment's registered
-// list), the content address, and the run closure — so every code path
-// that computes a cell (whole-grid sweep, remote cell list) produces
-// identical bytes.
-func cellPoint(experimentID string, seed uint64, scale Scale, f, r, l, ai int, a archSpec, mkSpec specFn) point {
-	spec := mkSpec(scale, r, l, scale.workPer(r))
-	be := backendFor(scale.fidelity())
-	return point{
-		seed: rng.DeriveSeed(seed, uint64(f), uint64(r), uint64(l), uint64(ai)),
-		key:  pointKey(experimentID, seed, scale, f, r, l, a.name),
-		cell: Cell{F: f, R: r, L: l, Arch: a.name},
-		run: func(pointSeed uint64) []Measurement {
-			return be.Measure(a, f, r, l, spec, pointSeed)
-		},
-	}
+// gridSweep is the one definition of a fixed-vs-flexible comparison
+// over an (F, R, L) grid: its identity, report notes, default grids,
+// workload builder and architectures. Everything a registered sweep
+// exposes — RunGrid, PointKeys, ComputeCells — derives from this value
+// (registerSweep), so the three can never disagree on a cell's key,
+// seed or bytes. The archs order is part of the definition: a cell's
+// arch index enters its RNG seed.
+type gridSweep struct {
+	id, title, description string
+	notes                  []string
+	f, r, l                []int // default grids
+	spec                   specFn
+	archs                  []archSpec
+	// registered marks a sweep a worker can rebuild by ID: only those
+	// are offered to Scale.Remote (see measure).
+	registered bool
 }
 
-// sweep builds the panel-major (F, R, L, arch) point list and hands it
-// to the engine. Every cell simulates under its own RNG stream,
-// derived from the experiment seed and the cell's coordinates, so
-// cells are statistically independent (no replayed streams across the
-// grid) and execution order cannot affect the Report. experimentID
-// scopes each cell's content address (pointKey) for memoization; the
-// keys are computed here, in one place, so sweepKeys can enumerate
-// them identically without building the points.
-func sweep(experimentID string, seed uint64, scale Scale, fs, rs, ls []int,
-	mkSpec specFn, archs []archSpec) ([]Measurement, error) {
+// registerSweep registers s as a grid experiment.
+func registerSweep(s *gridSweep) {
+	s.registered = true
+	register(Experiment{
+		ID:           s.id,
+		Title:        s.title,
+		Description:  s.description,
+		RunGrid:      s.run,
+		PointKeys:    s.keys,
+		ComputeCells: s.compute,
+	})
+}
 
-	var pts []point
-	for _, f := range fs {
-		for _, r := range rs {
-			for _, l := range ls {
-				for ai, a := range archs {
-					pts = append(pts, cellPoint(experimentID, seed, scale, f, r, l, ai, a, mkSpec))
+// registerAblation registers a one-off sweep over its default grids.
+// The sweep stays unregistered as a grid sweep (no RunGrid, PointKeys
+// or ComputeCells), so it always runs locally; post, if non-nil,
+// appends summary notes to the finished report.
+func registerAblation(s *gridSweep, post func(*Report)) {
+	register(Experiment{
+		ID:          s.id,
+		Title:       s.title,
+		Description: s.description,
+		Run: func(seed uint64, scale Scale) *Report {
+			r := s.run(seed, scale, Grids{})
+			if post != nil {
+				post(r)
+			}
+			return r
+		},
+	})
+}
+
+// cells enumerates grid g, empty axes taking the sweep's defaults, in
+// panel-major F→R→L→arch order — the one cell order reports, point
+// keys and remote batches share.
+func (s *gridSweep) cells(g Grids) []Cell {
+	g = g.or(s.f, s.r, s.l)
+	cells := make([]Cell, 0, len(g.F)*len(g.R)*len(g.L)*len(s.archs))
+	for _, f := range g.F {
+		for _, r := range g.R {
+			for _, l := range g.L {
+				for _, a := range s.archs {
+					cells = append(cells, Cell{F: f, R: r, L: l, Arch: a.name})
 				}
 			}
 		}
 	}
-	return executeSweep(sweepMeta{experiment: experimentID, seed: seed}, scale, pts)
+	return cells
 }
 
-// sweepInto runs sweep and records the result on the report, keeping
-// the partial points and the interruption error together. The report's
-// ID scopes the point keys.
-func sweepInto(r *Report, seed uint64, scale Scale, fs, rs, ls []int,
-	mkSpec specFn, archs []archSpec) {
-	r.Points, r.Err = sweep(r.ID, seed, scale, fs, rs, ls, mkSpec, archs)
+// points builds the schedulable point for each cell. All per-point
+// derivation lives here — the RNG seed (from the cell coordinates and
+// the arch's index in s.archs, never from execution order), the
+// content address, and the run closure — so a cell computes the same
+// bytes whichever path or process runs it. An arch the sweep does not
+// define is an error: its seed index would be meaningless.
+func (s *gridSweep) points(seed uint64, scale Scale, cells []Cell) ([]point, error) {
+	be := backendFor(scale.fidelity())
+	pts := make([]point, len(cells))
+	for i, c := range cells {
+		ai := slices.IndexFunc(s.archs, func(a archSpec) bool { return a.name == c.Arch })
+		if ai < 0 {
+			return nil, fmt.Errorf("experiment %s: unknown arch %q", s.id, c.Arch)
+		}
+		a, spec := s.archs[ai], s.spec(scale, c.R, c.L, scale.workPer(c.R))
+		pts[i] = point{
+			seed: rng.DeriveSeed(seed, uint64(c.F), uint64(c.R), uint64(c.L), uint64(ai)),
+			key:  pointKey(s.id, seed, scale, c.F, c.R, c.L, c.Arch),
+			cell: c,
+			run: func(pointSeed uint64) []Measurement {
+				return be.Measure(a, c.F, c.R, c.L, spec, pointSeed)
+			},
+		}
+	}
+	return pts, nil
+}
+
+// measure runs grid g through the engine. Only a registered sweep
+// names itself to the engine, so only its cells may be offered to a
+// remote computer; unregistered sweeps (the ablations) always run
+// locally, since no worker could rebuild them by ID.
+func (s *gridSweep) measure(seed uint64, scale Scale, g Grids) ([]Measurement, error) {
+	pts, err := s.points(seed, scale, s.cells(g))
+	if err != nil {
+		return nil, err
+	}
+	var meta sweepMeta
+	if s.registered {
+		meta = sweepMeta{experiment: s.id, seed: seed}
+	}
+	return executeSweep(meta, scale, pts)
+}
+
+// run measures grid g into a report, keeping the partial points and
+// the interruption error together.
+func (s *gridSweep) run(seed uint64, scale Scale, g Grids) *Report {
+	r := &Report{ID: s.id, Title: s.title, Notes: append([]string(nil), s.notes...)}
+	r.Points, r.Err = s.measure(seed, scale, g)
+	return r
+}
+
+// compute is ComputeCells: it resolves an explicit cell list (any
+// subset of any grid, in any order) through the engine, locally, and
+// returns each cell's key and encoded measurements. Each result
+// carries the key this process derived, so a requester on a different
+// engine version sees its own keys go unanswered instead of receiving
+// bytes computed under different semantics.
+func (s *gridSweep) compute(seed uint64, scale Scale, cells []Cell) ([]CellResult, error) {
+	pts, err := s.points(seed, scale, cells)
+	if err != nil {
+		return nil, err
+	}
+	res, err := resolve(sweepMeta{}, scale, pts)
+	if err != nil {
+		// Interrupted (context cancelled): a partial cell list is
+		// useless to the requester — it will retry elsewhere.
+		return nil, err
+	}
+	out := make([]CellResult, len(pts))
+	for i, r := range res {
+		if r.data == nil {
+			r.data = encodeMeasurements(scale.fidelity(), r.ms)
+		}
+		out[i] = CellResult{Key: pts[i].key, Data: r.data}
+	}
+	return out, nil
 }
 
 // Curves groups a panel's measurements into (arch, R) curves sorted by

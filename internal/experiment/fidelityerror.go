@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 	"sort"
-
-	"regreloc/internal/policy"
 )
 
 // AnalyticCalibratedMaxAbs is the calibrated upper bound on the
@@ -18,11 +16,9 @@ import (
 const AnalyticCalibratedMaxAbs = 0.25
 
 func init() {
-	// Same archs, grids, and workload as figure5 — and, deliberately,
-	// the same experiment ID in the point keys: the sim cells here are
-	// the cells a figure5 sweep computes, so calibration rides (and
-	// warms) the same cache entries at each tier.
-	archs := []archSpec{fixedArch(6, policy.Never{}), flexArch(6, policy.Never{})}
+	// The figure5 sweep itself, measured at two tiers: the sim cells
+	// here are the cells a figure5 sweep computes, so calibration rides
+	// (and warms) the same cache entries at each tier.
 	register(Experiment{
 		ID:    "fidelity-error",
 		Title: "Analytic-tier error vs the simulator (calibration)",
@@ -31,7 +27,6 @@ func init() {
 			"each cell's absolute efficiency delta. The summary maximum calibrates " +
 			"the error bound adaptive serving attaches to analytic answers.",
 		RunGrid: func(seed uint64, scale Scale, g Grids) *Report {
-			g = g.or(fileSizes, cacheRs, cacheLs)
 			r := &Report{
 				ID:    "fidelity-error",
 				Title: "Analytic-tier error vs the simulator (calibration)",
@@ -41,14 +36,14 @@ func init() {
 			}
 			simScale := scale
 			simScale.Fidelity = FidelitySim
-			simPts, err := sweep("figure5", seed, simScale, g.F, g.R, g.L, cacheFaultSpec, archs)
+			simPts, err := figure5.measure(seed, simScale, g)
 			if err != nil {
 				r.Err = err
 				return r
 			}
 			anaScale := scale
 			anaScale.Fidelity = FidelityAnalytic
-			anaPts, err := sweep("figure5", seed, anaScale, g.F, g.R, g.L, cacheFaultSpec, archs)
+			anaPts, err := figure5.measure(seed, anaScale, g)
 			if err != nil {
 				r.Err = err
 				return r

@@ -64,220 +64,165 @@ func combinedSpec(scale Scale, rl, l int, work int64) workload.Spec {
 	return workload.Combined(32, 64, rl, l, workload.PaperCtxSize(), scale.Threads, work)
 }
 
-func init() {
-	figure5Archs := []archSpec{fixedArch(6, policy.Never{}), flexArch(6, policy.Never{})}
-	register(Experiment{
-		ID:    "figure5",
-		Title: "Figure 5: Tolerating Cache Faults",
-		Description: "Efficiency vs constant memory latency L for F = 64/128/256 " +
+// figure5 and figure6 are package-level so other experiments can reuse
+// their definitions: fidelity-error measures figure5's own cells, and
+// several Section 3 variants share their architectures.
+var (
+	figure5 = &gridSweep{
+		id:    "figure5",
+		title: "Figure 5: Tolerating Cache Faults",
+		description: "Efficiency vs constant memory latency L for F = 64/128/256 " +
 			"registers, geometric run lengths R = 8/32/128, C ~ U[6,24], S = 6, " +
 			"contexts never unloaded.",
-		RunGrid: func(seed uint64, scale Scale, g Grids) *Report {
-			g = g.or(fileSizes, cacheRs, cacheLs)
-			r := &Report{
-				ID:    "figure5",
-				Title: "Figure 5: Tolerating Cache Faults",
-				Notes: []string{
-					"Paper: register relocation consistently outperforms fixed-size",
-					"contexts, with higher efficiency over a wide range of L and R.",
-				},
-			}
-			sweepInto(r, seed, scale, g.F, g.R, g.L, cacheFaultSpec, figure5Archs)
-			return r
+		notes: []string{
+			"Paper: register relocation consistently outperforms fixed-size",
+			"contexts, with higher efficiency over a wide range of L and R.",
 		},
-		PointKeys:    sweepKeys("figure5", fileSizes, cacheRs, cacheLs, figure5Archs),
-		ComputeCells: sweepCells("figure5", figure5Archs, cacheFaultSpec),
-	})
-
-	figure6Archs := []archSpec{fixedArch(8, policy.TwoPhase{}), flexArch(8, policy.TwoPhase{})}
-	register(Experiment{
-		ID:    "figure6",
-		Title: "Figure 6: Tolerating Synchronization Faults",
-		Description: "Efficiency vs exponential synchronization latency L for " +
+		f: fileSizes, r: cacheRs, l: cacheLs,
+		spec:  cacheFaultSpec,
+		archs: []archSpec{fixedArch(6, policy.Never{}), flexArch(6, policy.Never{})},
+	}
+	figure6 = &gridSweep{
+		id:    "figure6",
+		title: "Figure 6: Tolerating Synchronization Faults",
+		description: "Efficiency vs exponential synchronization latency L for " +
 			"F = 64/128/256, R = 32/128/512, C ~ U[6,24], S = 8, competitive " +
 			"two-phase unloading.",
-		RunGrid: func(seed uint64, scale Scale, g Grids) *Report {
-			g = g.or(fileSizes, syncRs, syncLs)
-			r := &Report{
-				ID:    "figure6",
-				Title: "Figure 6: Tolerating Synchronization Faults",
-				Notes: []string{
-					"Paper: register relocation improves utilization for virtually all",
-					"parameters; the only notable exception is F=64 (panel a) at large",
-					"L, where allocation overhead under load/unload churn lets fixed",
-					"contexts win marginally.",
-				},
-			}
-			sweepInto(r, seed, scale, g.F, g.R, g.L, syncFaultSpec, figure6Archs)
-			return r
+		notes: []string{
+			"Paper: register relocation improves utilization for virtually all",
+			"parameters; the only notable exception is F=64 (panel a) at large",
+			"L, where allocation overhead under load/unload churn lets fixed",
+			"contexts win marginally.",
 		},
-		PointKeys:    sweepKeys("figure6", fileSizes, syncRs, syncLs, figure6Archs),
-		ComputeCells: sweepCells("figure6", figure6Archs, syncFaultSpec),
-	})
-
-	cheapAllocArchs := []archSpec{
-		fixedArch(8, policy.TwoPhase{}),
-		flexArch(8, policy.TwoPhase{}),
-		lookupArch(8, policy.TwoPhase{}),
+		f: fileSizes, r: syncRs, l: syncLs,
+		spec:  syncFaultSpec,
+		archs: []archSpec{fixedArch(8, policy.TwoPhase{}), flexArch(8, policy.TwoPhase{})},
 	}
-	register(Experiment{
-		ID:    "figure6a-cheap",
-		Title: "Section 3.3: Figure 6(a) rerun with cheap allocation",
-		Description: "F = 64 synchronization experiments with the specialized " +
+)
+
+func init() {
+	registerSweep(figure5)
+	registerSweep(figure6)
+
+	registerSweep(&gridSweep{
+		id:    "figure6a-cheap",
+		title: "Section 3.3: Figure 6(a) rerun with cheap allocation",
+		description: "F = 64 synchronization experiments with the specialized " +
 			"lookup-table allocator (two context sizes, direct table lookup), " +
 			"verifying that lower allocation costs restore register relocation's " +
 			"advantage in the churn regime.",
-		RunGrid: func(seed uint64, scale Scale, g Grids) *Report {
-			g = g.or([]int{64}, syncRs, syncLs)
-			r := &Report{
-				ID:    "figure6a-cheap",
-				Title: "Section 3.3: Figure 6(a) rerun with cheap allocation",
-				Notes: []string{
-					"Paper: re-executing the Figure 6(a) experiments with lower",
-					"allocation costs made register relocation consistently outperform",
-					"fixed-size contexts.",
-				},
-			}
-			sweepInto(r, seed, scale, g.F, g.R, g.L, syncFaultSpec, cheapAllocArchs)
-			return r
+		notes: []string{
+			"Paper: re-executing the Figure 6(a) experiments with lower",
+			"allocation costs made register relocation consistently outperform",
+			"fixed-size contexts.",
 		},
-		PointKeys:    sweepKeys("figure6a-cheap", []int{64}, syncRs, syncLs, cheapAllocArchs),
-		ComputeCells: sweepCells("figure6a-cheap", cheapAllocArchs, syncFaultSpec),
+		f: []int{64}, r: syncRs, l: syncLs,
+		spec: syncFaultSpec,
+		archs: []archSpec{
+			fixedArch(8, policy.TwoPhase{}),
+			flexArch(8, policy.TwoPhase{}),
+			lookupArch(8, policy.TwoPhase{}),
+		},
 	})
 
-	registerHomogeneous := func(c int) {
-		id := fmt.Sprintf("homogeneous-c%d", c)
-		title := fmt.Sprintf("Section 3.4: homogeneous context size C=%d", c)
-		homogSpec := func(scale Scale, rl, l int, work int64) workload.Spec {
-			return workload.CacheFaults(rl, l, rng.Constant{Value: c}, scale.Threads, work)
-		}
-		register(Experiment{
-			ID:    id,
-			Title: title,
-			Description: fmt.Sprintf("Cache-fault experiments with every thread "+
+	for _, c := range []int{8, 16} {
+		registerSweep(&gridSweep{
+			id:    fmt.Sprintf("homogeneous-c%d", c),
+			title: fmt.Sprintf("Section 3.4: homogeneous context size C=%d", c),
+			description: fmt.Sprintf("Cache-fault experiments with every thread "+
 				"requiring exactly %d registers; smaller homogeneous contexts give "+
 				"register relocation substantially larger relative gains.", c),
-			RunGrid: func(seed uint64, scale Scale, g Grids) *Report {
-				g = g.or(fileSizes, cacheRs, cacheLs)
-				r := &Report{
-					ID:    id,
-					Title: title,
-					Notes: []string{
-						"Paper: results were similar to Figures 5 and 6, but the relative",
-						"improvements due to register relocation were often substantially",
-						"larger.",
-					},
-				}
-				sweepInto(r, seed, scale, g.F, g.R, g.L, homogSpec, figure5Archs)
-				return r
+			notes: []string{
+				"Paper: results were similar to Figures 5 and 6, but the relative",
+				"improvements due to register relocation were often substantially",
+				"larger.",
 			},
-			PointKeys:    sweepKeys(id, fileSizes, cacheRs, cacheLs, figure5Archs),
-			ComputeCells: sweepCells(id, figure5Archs, homogSpec),
+			f: fileSizes, r: cacheRs, l: cacheLs,
+			spec: func(scale Scale, rl, l int, work int64) workload.Spec {
+				return workload.CacheFaults(rl, l, rng.Constant{Value: c}, scale.Threads, work)
+			},
+			archs: figure5.archs,
 		})
 	}
-	registerHomogeneous(8)
-	registerHomogeneous(16)
 
-	register(Experiment{
-		ID:    "mixed-granularity",
-		Title: "Section 2: mixed coarse- and fine-grained threads",
-		Description: "Cache-fault experiments with a bimodal context-size " +
+	registerSweep(&gridSweep{
+		id:    "mixed-granularity",
+		title: "Section 2: mixed coarse- and fine-grained threads",
+		description: "Cache-fault experiments with a bimodal context-size " +
 			"population (80% fine-grained threads needing 6 registers, 20% " +
 			"coarse needing 24) — the paper's motivating case for dividing the " +
 			"register file 'into different combinations of context sizes, " +
 			"supporting a mix of both coarse and fine-grained threads'.",
-		RunGrid: func(seed uint64, scale Scale, g Grids) *Report {
-			g = g.or(fileSizes, cacheRs, cacheLs)
-			r := &Report{
-				ID:    "mixed-granularity",
-				Title: "Section 2: mixed coarse- and fine-grained threads",
-				Notes: []string{
-					"Fine threads fit 8-register contexts under register relocation",
-					"but burn a whole 32-register hardware context on the baseline.",
-				},
-			}
-			sweepInto(r, seed, scale, g.F, g.R, g.L, bimodalSpec, figure5Archs)
-			return r
+		notes: []string{
+			"Fine threads fit 8-register contexts under register relocation",
+			"but burn a whole 32-register hardware context on the baseline.",
 		},
-		PointKeys:    sweepKeys("mixed-granularity", fileSizes, cacheRs, cacheLs, figure5Archs),
-		ComputeCells: sweepCells("mixed-granularity", figure5Archs, bimodalSpec),
+		f: fileSizes, r: cacheRs, l: cacheLs,
+		spec:  bimodalSpec,
+		archs: figure5.archs,
 	})
 
-	register(Experiment{
-		ID:    "combined",
-		Title: "Section 3: combined cache and synchronization faults",
-		Description: "Workloads with both fault types superposed (cache faults at " +
+	registerSweep(&gridSweep{
+		id:    "combined",
+		title: "Section 3: combined cache and synchronization faults",
+		description: "Workloads with both fault types superposed (cache faults at " +
 			"R=32, L=64 plus synchronization faults at the swept R and L); the " +
 			"paper reports similar results with a higher overall fault rate.",
-		RunGrid: func(seed uint64, scale Scale, g Grids) *Report {
-			g = g.or(fileSizes, syncRs, syncLs)
-			r := &Report{
-				ID:    "combined",
-				Title: "Section 3: combined cache and synchronization faults",
-				Notes: []string{
-					"Paper: experiments involving both fault types gave similar",
-					"results; the main effect was to increase the overall fault rate.",
-				},
-			}
-			sweepInto(r, seed, scale, g.F, g.R, g.L, combinedSpec, figure6Archs)
-			return r
+		notes: []string{
+			"Paper: experiments involving both fault types gave similar",
+			"results; the main effect was to increase the overall fault rate.",
 		},
-		PointKeys:    sweepKeys("combined", fileSizes, syncRs, syncLs, figure6Archs),
-		ComputeCells: sweepCells("combined", figure6Archs, combinedSpec),
+		f: fileSizes, r: syncRs, l: syncLs,
+		spec:  combinedSpec,
+		archs: figure6.archs,
 	})
 
-	register(Experiment{
-		ID:    "ablation-policy",
-		Title: "Ablation: unloading policy",
-		Description: "Register relocation at F=128 under never/two-phase/always " +
+	registerAblation(&gridSweep{
+		id:    "ablation-policy",
+		title: "Ablation: unloading policy",
+		description: "Register relocation at F=128 under never/two-phase/always " +
 			"unloading across synchronization latencies.",
-		Run: func(seed uint64, scale Scale) *Report {
-			r := &Report{ID: "ablation-policy", Title: "Ablation: unloading policy"}
-			archs := []archSpec{
-				{"flex-never", func(f int) node.Config { return node.FlexibleConfig(f, policy.Never{}, 8) }},
-				{"flex-two-phase", func(f int) node.Config { return node.FlexibleConfig(f, policy.TwoPhase{}, 8) }},
-				{"flex-always", func(f int) node.Config { return node.FlexibleConfig(f, policy.Always{}, 8) }},
-			}
-			sweepInto(r, seed, scale, []int{128}, []int{32}, syncLs, syncFaultSpec, archs)
-			return r
+		f: []int{128}, r: []int{32}, l: syncLs,
+		spec: syncFaultSpec,
+		archs: []archSpec{
+			{"flex-never", func(f int) node.Config { return node.FlexibleConfig(f, policy.Never{}, 8) }},
+			{"flex-two-phase", func(f int) node.Config { return node.FlexibleConfig(f, policy.TwoPhase{}, 8) }},
+			{"flex-always", func(f int) node.Config { return node.FlexibleConfig(f, policy.Always{}, 8) }},
 		},
-	})
+	}, nil)
 
-	register(Experiment{
-		ID:    "ablation-alloc",
-		Title: "Ablation: context allocator",
-		Description: "The Figure 6(a) churn regime (F=64, R=32) across allocators: " +
+	registerAblation(&gridSweep{
+		id:    "ablation-alloc",
+		title: "Ablation: context allocator",
+		description: "The Figure 6(a) churn regime (F=64, R=32) across allocators: " +
 			"general-purpose bitmap (25-cycle), FF1-assisted (15-cycle), buddy, " +
 			"lookup-table (4-cycle), and the zero-cost fixed baseline.",
-		Run: func(seed uint64, scale Scale) *Report {
-			r := &Report{ID: "ablation-alloc", Title: "Ablation: context allocator"}
-			archs := []archSpec{
-				fixedArch(8, policy.TwoPhase{}),
-				flexArch(8, policy.TwoPhase{}),
-				{"flexible-ff1", func(f int) node.Config {
-					return node.Config{
-						Name:        "flexible-ff1",
-						NewAlloc:    func() alloc.Allocator { return alloc.NewBitmap(f, 64, alloc.FF1Costs) },
-						Policy:      policy.TwoPhase{},
-						SwitchCost:  8,
-						QueueOpCost: 10,
-					}
-				}},
-				{"flexible-buddy", func(f int) node.Config {
-					return node.Config{
-						Name:        "flexible-buddy",
-						NewAlloc:    func() alloc.Allocator { return alloc.NewBuddy(f, 4, 64, alloc.FlexibleCosts) },
-						Policy:      policy.TwoPhase{},
-						SwitchCost:  8,
-						QueueOpCost: 10,
-					}
-				}},
-				lookupArch(8, policy.TwoPhase{}),
-			}
-			sweepInto(r, seed, scale, []int{64}, []int{32}, syncLs, syncFaultSpec, archs)
-			return r
+		f: []int{64}, r: []int{32}, l: syncLs,
+		spec: syncFaultSpec,
+		archs: []archSpec{
+			fixedArch(8, policy.TwoPhase{}),
+			flexArch(8, policy.TwoPhase{}),
+			{"flexible-ff1", func(f int) node.Config {
+				return node.Config{
+					Name:        "flexible-ff1",
+					NewAlloc:    func() alloc.Allocator { return alloc.NewBitmap(f, 64, alloc.FF1Costs) },
+					Policy:      policy.TwoPhase{},
+					SwitchCost:  8,
+					QueueOpCost: 10,
+				}
+			}},
+			{"flexible-buddy", func(f int) node.Config {
+				return node.Config{
+					Name:        "flexible-buddy",
+					NewAlloc:    func() alloc.Allocator { return alloc.NewBuddy(f, 4, 64, alloc.FlexibleCosts) },
+					Policy:      policy.TwoPhase{},
+					SwitchCost:  8,
+					QueueOpCost: 10,
+				}
+			}},
+			lookupArch(8, policy.TwoPhase{}),
 		},
-	})
+	}, nil)
 
 	register(Experiment{
 		ID:    "analytic",

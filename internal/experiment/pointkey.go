@@ -51,24 +51,16 @@ func pointKeyWith(engine string, fid Fidelity, experimentID string, seed uint64,
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// sweepKeys builds a PointKeys planner for a grid sweep experiment:
-// it enumerates the content address of every point the corresponding
-// RunGrid would simulate, in the same cell order, without running
-// anything. The serve daemon's job planner uses it to count how much
-// of a request the point store already covers before queueing.
-func sweepKeys(experimentID string, defF, defR, defL []int, archs []archSpec) func(uint64, Scale, Grids) []string {
-	return func(seed uint64, scale Scale, g Grids) []string {
-		g = g.or(defF, defR, defL)
-		keys := make([]string, 0, len(g.F)*len(g.R)*len(g.L)*len(archs))
-		for _, f := range g.F {
-			for _, r := range g.R {
-				for _, l := range g.L {
-					for _, a := range archs {
-						keys = append(keys, pointKey(experimentID, seed, scale, f, r, l, a.name))
-					}
-				}
-			}
-		}
-		return keys
+// keys is PointKeys: the content address of every point RunGrid(g)
+// would simulate, in the same cell order, without building a spec, a
+// backend or a run closure. The serve daemon's job planner uses it to
+// count how much of a request the point store already covers before
+// queueing.
+func (s *gridSweep) keys(seed uint64, scale Scale, g Grids) []string {
+	cells := s.cells(g)
+	keys := make([]string, len(cells))
+	for i, c := range cells {
+		keys[i] = pointKey(s.id, seed, scale, c.F, c.R, c.L, c.Arch)
 	}
+	return keys
 }

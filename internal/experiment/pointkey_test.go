@@ -16,11 +16,11 @@ import (
 func TestPointKeyIgnoresGridShape(t *testing.T) {
 	scale := Quick
 	// The same (f, r, l, arch) cell reached through differently ordered
-	// and differently sized grids must produce one key. sweepKeys
-	// enumerates whole grids; collect each cell's key per grid and
-	// compare the shared cell.
+	// and differently sized grids must produce one key. The figure5
+	// planner enumerates whole grids; collect each cell's key per grid
+	// and compare the shared cell.
 	keysOf := func(g Grids) map[string]bool {
-		ks := sweepKeys("figure5", nil, nil, nil, []archSpec{{name: "fixed"}, {name: "flexible"}})(1, scale, g)
+		ks := figure5.keys(1, scale, g)
 		set := make(map[string]bool, len(ks))
 		for _, k := range ks {
 			set[k] = true
@@ -101,7 +101,7 @@ func TestPointKeyNeighbourSeedsDiffer(t *testing.T) {
 }
 
 // TestSweepKeysMatchSweepOrder pins the planner contract: the keys
-// sweepKeys enumerates are exactly the keys sweep attaches to its
+// PointKeys enumerates are exactly the keys the sweep attaches to its
 // points, in the same cell order — otherwise the serve planner would
 // count coverage against entries the engine never writes.
 func TestSweepKeysMatchSweepOrder(t *testing.T) {

@@ -674,15 +674,21 @@ func (s *Server) runOne(j *Job) {
 				s.points.Put(sk, data)
 			}
 		}
-		j.finalize(StateDone, data, nil)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		final = StateCanceled
-		j.finalize(StateCanceled, nil, err)
 	default:
 		final = StateFailed
-		j.finalize(StateFailed, nil, err)
 	}
+	// Leave inflight before turning terminal: admit checks inflight
+	// before the stored report, so a resubmission that sees this job
+	// done must find it gone and hit the report just Put, never
+	// coalesce onto the finished job.
 	s.forgetInflight(j)
+	if final == StateDone {
+		j.finalize(StateDone, data, nil)
+	} else {
+		j.finalize(final, nil, err)
+	}
 	s.queue.release(j.tenant)
 	s.met.jobFinished(j.Req.Experiment, final, seconds, true)
 	s.log.Printf("job %s %s tenant=%s experiment=%s points=%d elapsed=%.3fs",

@@ -635,3 +635,58 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Errorf("missing job: %d, want 404", code)
 	}
 }
+
+// TestDoneJobLeftInflightFirst pins the resubmission race behind the
+// flaky daemon lifecycle test ("resubmit: cached=false"): runOne used
+// to finalize a job before removing it from inflight, and admit checks
+// inflight before the stored report, so a resubmission landing in
+// between coalesced onto the finished job instead of being a report
+// hit. The runner below returns holding s.mu, which parks runOne at
+// its inflight removal; the job must not turn done while it is still
+// registered in flight.
+func TestDoneJobLeftInflightFirst(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	locked := make(chan struct{})
+	realRun := s.runJob
+	s.runJob = func(ctx context.Context, j *Job) ([]byte, int, error) {
+		data, n, err := realRun(ctx, j)
+		s.mu.Lock() // released by the test goroutine below
+		close(locked)
+		return data, n, err
+	}
+	s.Start()
+	defer s.Shutdown(context.Background())
+
+	j, _, err := s.Submit(tinyRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-locked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("job never finished running")
+	}
+	select {
+	case <-j.Done():
+		stillInflight := s.inflight[j.Key] == j
+		s.mu.Unlock()
+		if stillInflight {
+			t.Fatal("job turned done while still in flight: a resubmission would coalesce onto it")
+		}
+	case <-time.After(200 * time.Millisecond):
+		// runOne is parked in forgetInflight, before finalize.
+		s.mu.Unlock()
+	}
+	waitDone(t, j)
+
+	again, _, err := s.Submit(tinyRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := again.Status(false); again == j || !st.Cached {
+		t.Fatalf("resubmission after done: same job %v, cached %v; want a stored-report hit", again == j, st.Cached)
+	}
+}

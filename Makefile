@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint-asm lint-asm-sarif bench bench-json bench-smoke perfbench-smoke bench-gate examples figures data serve-smoke load-smoke cluster-smoke cluster-bench clean
+.PHONY: all build test test-race fuzz-smoke vet lint-asm lint-asm-sarif bench bench-json bench-smoke perfbench-smoke bench-gate examples figures data serve-smoke load-smoke cluster-smoke cluster-bench clean
 
 all: test
 
@@ -25,6 +25,13 @@ test: vet
 # client (hedges, retries, prober).
 test-race:
 	$(GO) test -race ./internal/experiment/... ./internal/sim/... ./internal/serve/... ./internal/pointstore/... ./internal/cluster/... ./cmd/rrserved/...
+
+# Run every native fuzz target for 10s, on top of its seed corpus
+# under testdata/fuzz (which plain `go test` already replays). A
+# failing input is written there as a new corpus file.
+fuzz-smoke:
+	$(GO) test ./internal/rng -run '^$$' -fuzz '^FuzzGeometricSample$$' -fuzztime 10s
+	$(GO) test ./internal/rng -run '^$$' -fuzz '^FuzzExponentialSample$$' -fuzztime 10s
 
 # End-to-end smoke test of the rrserved daemon: boot, submit a sweep
 # over HTTP, poll to completion, check cache + metrics counters, drain

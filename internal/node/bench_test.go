@@ -59,3 +59,44 @@ func BenchmarkRunColdSweepCells(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
 	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 }
+
+// BenchmarkRunColdSweepMix runs every distinct cell of the benchmark's
+// two cold-sweep grid shapes at quick scale (32 threads, work
+// max(100·R, 2000)), so it weighs the probe-heavy figure5 cells and
+// figure6's admission- and unload-heavy churn cells as the workload
+// does: figure5 is F=64, R ∈ {8, 32}, L ∈ {16, 32, 64, 128} under the
+// never-unload policy with S=6; figure6 is F=64, R ∈ {32, 128},
+// L ∈ {64, 128, 256, 512} under two-phase unloading with S=8. Each
+// runs on the fixed and the flexible architecture: 32 cells per op.
+func BenchmarkRunColdSweepMix(b *testing.B) {
+	type cell struct {
+		cfg  Config
+		spec workload.Spec
+	}
+	work := func(r int) int64 { return max(100*int64(r), 2000) }
+	var cells []cell
+	for _, r := range []int{8, 32} {
+		for _, l := range []int{16, 32, 64, 128} {
+			spec := workload.CacheFaults(r, l, workload.PaperCtxSize(), 32, work(r))
+			cells = append(cells,
+				cell{FixedConfig(64, policy.Never{}, 6), spec},
+				cell{FlexibleConfig(64, policy.Never{}, 6), spec})
+		}
+	}
+	for _, r := range []int{32, 128} {
+		for _, l := range []int{64, 128, 256, 512} {
+			spec := workload.SyncFaults(r, l, workload.PaperCtxSize(), 32, work(r))
+			cells = append(cells,
+				cell{FixedConfig(64, policy.TwoPhase{}, 8), spec},
+				cell{FlexibleConfig(64, policy.TwoPhase{}, 8), spec})
+		}
+	}
+	var cycles int64
+	for i := 0; i < b.N; i++ {
+		for _, c := range cells {
+			cycles += Run(c.cfg, c.spec, uint64(i+1)).Full.Total()
+		}
+	}
+	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cells)), "ns/cell")
+}

@@ -140,7 +140,7 @@ type Result struct {
 }
 
 // statePool recycles simulation state — the event heap, the scheduling
-// ring's nodes and map, the FIFO's backing array, and the generated
+// ring's per-ID nodes, the FIFO's backing array, and the generated
 // thread population — across runs. A parallel sweep worker thereby
 // reuses one working set for its whole slice of the grid instead of
 // reallocating it per point. States are only returned to the pool
@@ -165,6 +165,7 @@ func Run(cfg Config, spec workload.Spec, seed uint64) Result {
 	s.alloc = cfg.NewAlloc()
 	s.totalWork = workload.TotalWork(threads)
 	s.window = stats.NewWindow(cfg.WindowHead, cfg.WindowTail)
+	s.snapAt = s.window.Next(s.totalWork)
 	s.runLen = spec.RunLen
 	s.latency = spec.Latency
 	s.src = src.Split()
@@ -229,6 +230,9 @@ type state struct {
 	events sim.Queue[*thread.Thread]
 	acct   stats.CycleAccount
 	window *stats.Window
+	// snapAt is the useful-work count at which window takes its next
+	// snapshot.
+	snapAt int64
 
 	// threadBuf holds the generated population; the slice and its
 	// Thread structs are recycled across runs via the state pool.
@@ -311,31 +315,33 @@ func (s *state) fill() {
 		if s.failMin != 0 && s.queue.MinRegs() >= s.failMin {
 			return // nothing new could fit; no fresh attempt to charge
 		}
+		// First fit, walking the queue in place: at is the oldest thread
+		// whose context could be allocated. failed is the smallest
+		// requirement that failed in this scan. By the allocator's
+		// failure contract every candidate at least that large fails
+		// too, and a failed attempt changes nothing, so skipping them
+		// picks the same thread and the same context.
 		var ctx alloc.Context
-		// failed is the smallest requirement that failed in this scan.
-		// By the allocator's failure contract every candidate at least
-		// that large fails too, and a failed attempt changes nothing, so
-		// skipping them picks the same thread and the same context.
-		failed := 0
-		t := s.queue.PopFit(func(cand *thread.Thread) bool {
-			if failed != 0 && cand.Regs >= failed {
-				return false
+		at, failed := -1, math.MaxInt
+		for i, cand := range s.queue.Queued() {
+			if cand.Regs >= failed {
+				continue
 			}
 			c, ok := s.alloc.Alloc(cand.Regs)
-			if !ok {
-				failed = cand.Regs
-				return false
+			if ok {
+				ctx, at = c, i
+				break
 			}
-			ctx = c
-			return true
-		})
-		if t == nil {
+			failed = cand.Regs
+		}
+		if at < 0 {
 			s.alloc.Costs().ChargeAlloc(&s.acct, false)
 			s.advanceClock(s.alloc.Costs().AllocFail)
 			s.res.AllocFails++
 			s.failMin = s.queue.MinRegs()
 			return
 		}
+		t := s.queue.RemoveAt(at)
 		s.alloc.Costs().ChargeAlloc(&s.acct, true)
 		s.advanceClock(s.alloc.Costs().AllocSucceed)
 		s.res.Allocs++
@@ -367,9 +373,18 @@ func (s *state) advanceClock(n int64) {
 	// processor only notices them at the next switch (processDueEvents),
 	// which the strict Advance would reject.
 	s.events.AdvanceTo(s.events.Now() + n)
-	if !s.window.Done() {
-		s.window.MaybeSnapshot(&s.acct, s.acct.Get(stats.Useful), s.totalWork)
+	if s.acct.Get(stats.Useful) >= s.snapAt {
+		s.snapshot()
 	}
+}
+
+// snapshot lets the measurement window take the snapshot whose
+// threshold useful work has reached. Callers check s.snapAt first
+// (Window.Next), so a charge that crosses no threshold costs one
+// integer compare.
+func (s *state) snapshot() {
+	s.window.MaybeSnapshot(&s.acct, s.acct.Get(stats.Useful), s.totalWork)
+	s.snapAt = s.window.Next(s.totalWork)
 }
 
 // nextRunnable returns a runnable resident thread, preferring the
@@ -559,8 +574,8 @@ func (s *state) idleToNextEvent() {
 		s.lastResidentAt = next
 		s.acct.Charge(stats.Idle, idle)
 		s.events.AdvanceTo(next)
-		if !s.window.Done() {
-			s.window.MaybeSnapshot(&s.acct, s.acct.Get(stats.Useful), s.totalWork)
+		if s.acct.Get(stats.Useful) >= s.snapAt {
+			s.snapshot()
 		}
 	}
 }

@@ -46,3 +46,15 @@ func BenchmarkGeometricDist(b *testing.B) {
 		b.Fatal("impossible")
 	}
 }
+
+func BenchmarkExponentialDist(b *testing.B) {
+	r := New(1)
+	e := Exponential{MeanValue: 512}
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		sink += e.Sample(r)
+	}
+	if sink < 0 {
+		b.Fatal("impossible")
+	}
+}

@@ -33,24 +33,36 @@ func (c Constant) String() string { return fmt.Sprintf("constant(%d)", c.Value) 
 // literal also works, but recomputes the log constant on every sample.
 type Geometric struct {
 	MeanValue float64
-	// logQ caches log(1-1/MeanValue); zero means not computed.
-	logQ float64
+	// logQ caches log(1-1/MeanValue), zero meaning not computed, and
+	// invLogQ its reciprocal.
+	logQ, invLogQ float64
 }
 
 // NewGeometric returns a geometric distribution with the given mean
-// and its sampling constant precomputed.
+// and its sampling constants precomputed.
 func NewGeometric(mean float64) Geometric {
-	return Geometric{MeanValue: mean, logQ: geometricLogQ(mean)}
+	logQ := geometricLogQ(mean)
+	return Geometric{MeanValue: mean, logQ: logQ, invLogQ: 1 / logQ}
 }
 
-// Sample implements Dist. It draws exactly the bits Source.Geometric
-// draws for the same mean.
+// Sample implements Dist: ceil(ln u / ln(1-1/mean)) for one uniform u,
+// by filtered inverse-transform sampling (see sample.go). It panics if
+// the mean is below 1.
 func (g Geometric) Sample(src *Source) int {
-	logQ := g.logQ
-	if logQ == 0 {
-		logQ = geometricLogQ(g.MeanValue)
+	if g.logQ == 0 {
+		g = NewGeometric(g.MeanValue)
 	}
-	return src.geometric(g.MeanValue, logQ)
+	if g.MeanValue < 1 {
+		panic("rng: Geometric called with mean < 1")
+	}
+	if g.MeanValue == 1 {
+		return 1
+	}
+	u := 1 - src.Float64() // in (0, 1]
+	if k, ok := geometricFast(u, g.MeanValue, g.invLogQ); ok {
+		return k
+	}
+	return geometricRef(u, g.MeanValue, g.logQ)
 }
 
 // Mean implements Dist.
@@ -63,13 +75,18 @@ func (g Geometric) String() string { return fmt.Sprintf("geometric(%g)", g.MeanV
 // synchronization wait times (paper Section 3.3).
 type Exponential struct{ MeanValue float64 }
 
-// Sample implements Dist.
+// Sample implements Dist: -mean·ln u for one uniform u, at least 1,
+// rounded to the nearest integer, by filtered inverse-transform
+// sampling (see sample.go). It panics if the mean is not positive.
 func (e Exponential) Sample(src *Source) int {
-	v := src.Exponential(e.MeanValue)
-	if v < 1 {
-		return 1
+	if e.MeanValue <= 0 {
+		panic("rng: Exponential called with mean <= 0")
 	}
-	return int(v + 0.5)
+	u := 1 - src.Float64() // in (0, 1]
+	if n, ok := exponentialFast(u, e.MeanValue); ok {
+		return n
+	}
+	return exponentialRef(u, e.MeanValue)
 }
 
 // Mean implements Dist.

@@ -131,33 +131,9 @@ func (r *Source) Exponential(mean float64) float64 {
 // Section 3.2). It panics if mean < 1. Sampling a fixed mean many
 // times is cheaper through NewGeometric, which computes the log once.
 func (r *Source) Geometric(mean float64) int {
-	return r.geometric(mean, geometricLogQ(mean))
+	return NewGeometric(mean).Sample(r)
 }
 
 // geometricLogQ is log(1-p) for p = 1/mean, the per-distribution
 // constant of geometric inverse-transform sampling.
 func geometricLogQ(mean float64) float64 { return math.Log(1 - 1/mean) }
-
-// geometric samples with a precomputed logQ = geometricLogQ(mean);
-// Source.Geometric and Geometric.Sample share it, so both produce the
-// same bits.
-func (r *Source) geometric(mean, logQ float64) int {
-	if mean < 1 {
-		panic("rng: Geometric called with mean < 1")
-	}
-	if mean == 1 {
-		return 1
-	}
-	// Inverse transform: ceil(ln(U) / ln(1-p)) for U in (0,1).
-	u := 1 - r.Float64() // in (0, 1]
-	k := math.Ceil(math.Log(u) / logQ)
-	if k < 1 {
-		k = 1
-	}
-	// Clamp to a sane bound to protect cycle accounting from float
-	// pathologies; P(k > 700*mean) < 1e-300.
-	if max := 700 * mean; k > max {
-		k = max
-	}
-	return int(k)
-}

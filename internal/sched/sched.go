@@ -6,11 +6,11 @@
 // queue" whose insert/remove operations cost 10 cycles in Figure 4).
 //
 // Both structures sit on the simulator's per-fault hot path, so both
-// are engineered to be allocation-free in steady state: the ring
-// recycles its list nodes through a free list and exposes the
-// zero-allocation Each iterator (Threads, which builds a fresh slice,
-// is for inspection only), and the FIFO reuses its backing array
-// through a head index instead of re-slicing capacity away.
+// are engineered to be allocation-free in steady state: the ring keeps
+// one list node per thread ID, found by indexing rather than hashing,
+// and exposes the zero-allocation Each iterator (Threads, which builds
+// a fresh slice, is for inspection only); the FIFO reuses its backing
+// array through a head index instead of re-slicing capacity away.
 package sched
 
 import (
@@ -31,39 +31,53 @@ type ringNode struct {
 // hardware has no idea a context is blocked; software probes them),
 // matching the switch-and-test behaviour the paper's S=8 switch cost
 // allows for.
+//
+// Threads are keyed by their dense thread.ID, so resident threads must
+// have distinct IDs.
 type Ring struct {
-	cur   *ringNode
-	size  int
-	nodes map[*thread.Thread]*ringNode
-	// free recycles unlinked nodes so the load/unload churn of a long
-	// simulation stops allocating once the ring has reached its working
-	// set.
-	free *ringNode
+	cur  *ringNode
+	size int
+	// nodes[id] is the list node of the thread with that ID, linked in
+	// while t is non-nil. A removed thread's node stays in its slot for
+	// the next thread with that ID, so load/unload churn stops
+	// allocating once the ring has seen every ID of the population.
+	nodes []*ringNode
 }
 
 // NewRing returns an empty ring.
-func NewRing() *Ring {
-	return &Ring{nodes: make(map[*thread.Thread]*ringNode)}
-}
+func NewRing() *Ring { return &Ring{} }
 
 // Len returns the number of resident contexts in the ring.
 func (r *Ring) Len() int { return r.size }
 
+// node returns t's list node if t is in the ring, else nil.
+func (r *Ring) node(t *thread.Thread) *ringNode {
+	if uint(t.ID) < uint(len(r.nodes)) {
+		if n := r.nodes[t.ID]; n != nil && n.t == t {
+			return n
+		}
+	}
+	return nil
+}
+
 // Add inserts t just before the current position (so a full rotation
-// visits it last), mirroring a NextRRM link splice.
+// visits it last), mirroring a NextRRM link splice. It panics if t, or
+// another thread with t's ID, is already in the ring.
 func (r *Ring) Add(t *thread.Thread) {
-	if _, dup := r.nodes[t]; dup {
+	if t.ID < 0 {
+		panic(fmt.Sprintf("sched: thread ID %d is negative", t.ID))
+	}
+	for t.ID >= len(r.nodes) {
+		r.nodes = append(r.nodes, nil)
+	}
+	n := r.nodes[t.ID]
+	if n == nil {
+		n = &ringNode{}
+		r.nodes[t.ID] = n
+	} else if n.t != nil {
 		panic(fmt.Sprintf("sched: thread %d already in ring", t.ID))
 	}
-	n := r.free
-	if n != nil {
-		r.free = n.next
-		n.next = nil
-	} else {
-		n = &ringNode{}
-	}
 	n.t = t
-	r.nodes[t] = n
 	if r.cur == nil {
 		n.prev, n.next = n, n
 		r.cur = n
@@ -78,11 +92,10 @@ func (r *Ring) Add(t *thread.Thread) {
 
 // Remove unlinks t from the ring.
 func (r *Ring) Remove(t *thread.Thread) {
-	n, ok := r.nodes[t]
-	if !ok {
+	n := r.node(t)
+	if n == nil {
 		panic(fmt.Sprintf("sched: thread %d not in ring", t.ID))
 	}
-	delete(r.nodes, t)
 	r.size--
 	if r.size == 0 {
 		r.cur = nil
@@ -93,8 +106,7 @@ func (r *Ring) Remove(t *thread.Thread) {
 			r.cur = n.next
 		}
 	}
-	n.t, n.prev, n.next = nil, nil, r.free
-	r.free = n
+	n.t, n.prev, n.next = nil, nil, nil
 }
 
 // Current returns the thread at the round-robin pointer, or nil when
@@ -164,10 +176,7 @@ func (r *Ring) Threads() []*thread.Thread {
 }
 
 // Contains reports whether t is in the ring.
-func (r *Ring) Contains(t *thread.Thread) bool {
-	_, ok := r.nodes[t]
-	return ok
-}
+func (r *Ring) Contains(t *thread.Thread) bool { return r.node(t) != nil }
 
 // FIFO is the local thread queue of runnable-but-unloaded threads. The
 // zero value is an empty queue. Popped slots are reused: the backing
@@ -198,12 +207,7 @@ func (q *FIFO) Pop() *thread.Thread {
 	if q.Len() == 0 {
 		return nil
 	}
-	t := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	q.compact()
-	q.dropMin(t)
-	return t
+	return q.RemoveAt(0)
 }
 
 // Peek returns the head without removing it, or nil when empty.
@@ -214,24 +218,31 @@ func (q *FIFO) Peek() *thread.Thread {
 	return q.items[q.head]
 }
 
-// PopFit removes and returns the first (oldest) thread satisfying fit,
-// or nil if none does. The runtime uses this for first-fit admission:
-// when the registers freed by an unload cannot hold the queue head's
-// context, a smaller queued thread can still be admitted — scheduling
-// order is under software control (Section 2.2).
-func (q *FIFO) PopFit(fit func(*thread.Thread) bool) *thread.Thread {
-	for i := q.head; i < len(q.items); i++ {
-		t := q.items[i]
-		if fit(t) {
-			copy(q.items[i:], q.items[i+1:])
-			q.items[len(q.items)-1] = nil
-			q.items = q.items[:len(q.items)-1]
-			q.compact()
-			q.dropMin(t)
-			return t
-		}
+// Queued returns the queued threads, oldest first, for a scan in
+// place; the runtime's first-fit admission walks it to find the oldest
+// thread whose context can be allocated (scheduling order is under
+// software control, Section 2.2). The slice aliases the queue: it is
+// valid until the next Push or removal, and must not be modified.
+func (q *FIFO) Queued() []*thread.Thread { return q.items[q.head:] }
+
+// RemoveAt removes and returns Queued()[i], keeping the others in
+// order. It shifts whichever side of i is shorter, so removing the
+// head is O(1).
+func (q *FIFO) RemoveAt(i int) *thread.Thread {
+	i += q.head
+	t := q.items[i]
+	if i-q.head < len(q.items)-1-i {
+		copy(q.items[q.head+1:i+1], q.items[q.head:i])
+		q.items[q.head] = nil
+		q.head++
+	} else {
+		copy(q.items[i:], q.items[i+1:])
+		q.items[len(q.items)-1] = nil
+		q.items = q.items[:len(q.items)-1]
 	}
-	return nil
+	q.compact()
+	q.dropMin(t)
+	return t
 }
 
 // MinRegs returns the smallest register requirement among queued

@@ -197,3 +197,76 @@ func TestFIFO(t *testing.T) {
 		t.Error("not empty after draining")
 	}
 }
+
+// TestRingKeysByThreadID pins the ID-indexed ring: a removed thread's
+// slot serves the next thread with that ID, a different thread with a
+// resident thread's ID is not "in" the ring, and it cannot join it.
+func TestRingKeysByThreadID(t *testing.T) {
+	r := NewRing()
+	ths := mkThreads(3)
+	for _, th := range ths {
+		r.Add(th)
+	}
+	r.Remove(ths[1])
+	other := thread.New(1, 8, 100)
+	r.Add(other)
+	if !r.Contains(other) || r.Contains(ths[1]) || r.Len() != 3 {
+		t.Fatalf("after swapping ID 1: contains new=%v old=%v len=%d", r.Contains(other), r.Contains(ths[1]), r.Len())
+	}
+	if got := r.Threads(); got[len(got)-1] != other {
+		t.Errorf("re-added thread is not last in ring order: %v", got)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("adding a second thread with a resident ID did not panic")
+			}
+		}()
+		r.Add(thread.New(2, 8, 100))
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("removing a non-resident thread with a resident ID did not panic")
+			}
+		}()
+		r.Remove(ths[1])
+	}()
+}
+
+func TestFIFORemoveAt(t *testing.T) {
+	var q FIFO
+	ths := make([]*thread.Thread, 6)
+	for i := range ths {
+		ths[i] = thread.New(i, 10-i, 100) // Regs 10, 9, ..., 5
+		q.Push(ths[i])
+	}
+	want := func(ids ...int) {
+		t.Helper()
+		got := q.Queued()
+		if len(got) != len(ids) || q.Len() != len(ids) {
+			t.Fatalf("queue %v, want IDs %v", got, ids)
+		}
+		for i, id := range ids {
+			if got[i].ID != id {
+				t.Fatalf("queue position %d holds %d, want IDs %v", i, got[i].ID, ids)
+			}
+		}
+	}
+	if q.RemoveAt(1) != ths[1] { // near the head: shifts the prefix
+		t.Fatal("RemoveAt(1)")
+	}
+	want(0, 2, 3, 4, 5)
+	if q.RemoveAt(3) != ths[4] { // near the tail: shifts the suffix
+		t.Fatal("RemoveAt(3)")
+	}
+	want(0, 2, 3, 5)
+	if q.RemoveAt(3) != ths[5] || q.MinRegs() != 7 {
+		t.Fatalf("removing the minimum left MinRegs %d, want 7", q.MinRegs())
+	}
+	want(0, 2, 3)
+	if q.RemoveAt(0) != ths[0] || q.Peek() != ths[2] {
+		t.Fatal("RemoveAt(0) is not Pop")
+	}
+	want(2, 3)
+}

@@ -97,12 +97,77 @@ type Event struct {
 	Bounds *ErrorBounds `json:"bounds,omitempty"`
 }
 
-// appendEventLocked assigns the next ID, stores the event, and wakes
+// eventRec is an Event as a job's log stores it, a quarter of the
+// Event's size, because up to MaxJobs finished jobs keep their logs:
+// the ID is the record's position plus one, the type and state are
+// small codes, and the fields only rare events carry sit behind a
+// pointer.
+type eventRec struct {
+	typ, state  uint8
+	cached      bool
+	done, total int
+	rare        *eventRare
+}
+
+// eventRare holds the Event fields of failed terminal states, partial,
+// cells and bounds events.
+type eventRare struct {
+	err, fidelity string
+	cells         []CellDelta
+	bounds        *ErrorBounds
+}
+
+// The codes of eventRec.typ and eventRec.state index these tables.
+var (
+	eventTypes  = []string{EventProgress, EventState, EventPartial, EventCells, EventBounds}
+	eventStates = []State{"", StateQueued, StateRunning, StateDone, StateFailed, StateCanceled}
+)
+
+// codeOf returns v's index in table; v must be listed.
+func codeOf[T comparable](table []T, v T) uint8 {
+	for i, x := range table {
+		if x == v {
+			return uint8(i)
+		}
+	}
+	panic(fmt.Sprintf("serve: event value %v has no code", v))
+}
+
+func compactEvent(ev Event) eventRec {
+	r := eventRec{
+		typ:    codeOf(eventTypes, ev.Type),
+		state:  codeOf(eventStates, ev.State),
+		cached: ev.Cached,
+		done:   ev.Done,
+		total:  ev.Total,
+	}
+	if ev.Error != "" || ev.Fidelity != "" || ev.Cells != nil || ev.Bounds != nil {
+		r.rare = &eventRare{err: ev.Error, fidelity: ev.Fidelity, cells: ev.Cells, bounds: ev.Bounds}
+	}
+	return r
+}
+
+// event expands the record at log position i.
+func (r eventRec) event(i int) Event {
+	ev := Event{
+		ID:     int64(i) + 1,
+		Type:   eventTypes[r.typ],
+		State:  eventStates[r.state],
+		Cached: r.cached,
+		Done:   r.done,
+		Total:  r.total,
+	}
+	if r.rare != nil {
+		ev.Error, ev.Fidelity = r.rare.err, r.rare.fidelity
+		ev.Cells, ev.Bounds = r.rare.cells, r.rare.bounds
+	}
+	return ev
+}
+
+// appendEventLocked stores the event under the next ID and wakes
 // subscribers. Caller holds j.mu.
 func (j *Job) appendEventLocked(ev Event) {
-	j.eventSeq++
-	ev.ID = j.eventSeq
-	j.events = append(j.events, ev)
+	j.events = append(j.events, compactEvent(ev))
 	if j.eventWake != nil {
 		close(j.eventWake)
 	}
@@ -116,10 +181,8 @@ func (j *Job) EventsSince(after int64) ([]Event, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var out []Event
-	for _, ev := range j.events {
-		if ev.ID > after {
-			out = append(out, ev)
-		}
+	for i := max(after, 0); i < int64(len(j.events)); i++ {
+		out = append(out, j.events[i].event(int(i)))
 	}
 	if j.eventWake == nil {
 		// Jobs born before the event layer existed in a test double, or

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // multiCellRequest returns a sweep with four grid cells, enough for
@@ -337,4 +338,74 @@ func TestSSEStreamsLiveProgress(t *testing.T) {
 	}
 	close(gate)
 	waitDone(t, j)
+}
+
+// TestFinishedJobLogIsCompact pins what a finished job keeps, since up
+// to MaxJobs of them stay in the job table. A 16-cell sim job (queued,
+// running, one progress event per cell, done) holds its whole event
+// log in at most 1 KiB and still replays it intact; a done adaptive job
+// drops its analytic partial and refinement state but keeps its bounds.
+func TestFinishedJobLogIsCompact(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Shutdown(context.Background())
+
+	wait := func(req Request) *Job {
+		t.Helper()
+		j, _, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-j.Done():
+		case <-time.After(time.Minute):
+			t.Fatalf("%s job did not finish", req.Fidelity)
+		}
+		if st := j.StateNow(); st != StateDone {
+			t.Fatalf("%s job ended %s", req.Fidelity, st)
+		}
+		return j
+	}
+	req := Request{Experiment: "figure5", Seed: 11, Scale: "quick",
+		F: []int{64}, R: []int{8, 32}, L: []int{16, 32, 64, 128}}
+
+	j := wait(req)
+	j.mu.Lock()
+	n, size := len(j.events), cap(j.events)*int(unsafe.Sizeof(eventRec{}))
+	for _, r := range j.events {
+		if r.rare != nil {
+			size += int(unsafe.Sizeof(eventRare{}))
+		}
+	}
+	j.mu.Unlock()
+	if size > 1024 {
+		t.Errorf("finished 16-cell job keeps a %d-byte event log (%d events), want <= 1024", size, n)
+	}
+	events, _ := j.EventsSince(0)
+	if len(events) != n || n < 19 {
+		t.Fatalf("replayed %d of %d events, want all of at least 19", len(events), n)
+	}
+	for i, ev := range events {
+		if ev.ID != int64(i+1) {
+			t.Fatalf("event %d has ID %d", i, ev.ID)
+		}
+	}
+	if last := events[n-1]; last.Type != EventState || last.State != StateDone {
+		t.Errorf("last replayed event %+v, want the done state", last)
+	}
+
+	req.Fidelity, req.Seed = "adaptive", 12
+	j = wait(req)
+	j.mu.Lock()
+	kept := j.partial != nil || j.analyticEff != nil || j.refineBuf != nil || j.allDeltas != nil
+	j.mu.Unlock()
+	if kept {
+		t.Error("done adaptive job still holds its partial or refinement state")
+	}
+	if st := j.Status(false); st.Bounds == nil || st.Bounds.Cells != 16 {
+		t.Errorf("done adaptive job lost its bounds: %+v", st.Bounds)
+	}
 }

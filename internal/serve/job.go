@@ -13,6 +13,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -266,13 +267,12 @@ type Job struct {
 	progTotal int
 	result    []byte
 
-	// Event log for the streaming endpoint: every append bumps eventSeq,
-	// stores the event for Last-Event-ID replay, and wakes subscribers
-	// by closing (and replacing) eventWake. Progress events are batched
-	// (progLastEvent tracks the last emitted done count) so a
-	// thousand-cell sweep logs tens of events, not thousands.
-	events        []Event
-	eventSeq      int64
+	// Event log for the streaming endpoint: every append stores the
+	// event for Last-Event-ID replay, under ID len(events), and wakes
+	// subscribers by closing (and replacing) eventWake. Progress events
+	// are batched (progLastEvent tracks the last emitted done count) so
+	// a thousand-cell sweep logs tens of events, not thousands.
+	events        []eventRec
 	eventWake     chan struct{}
 	progLastEvent int
 
@@ -497,6 +497,15 @@ func (j *Job) finalize(s State, result []byte, err error) bool {
 	}
 	j.finished = time.Now()
 	j.appendEventLocked(Event{Type: EventState, State: s, Error: j.errMsg})
+	// A finished job may sit in the job table for a long time: trim its
+	// event log to its length, and drop the refinement state nothing
+	// reads any more (every refinement method stops at a terminal
+	// state). Status serves partial only while the job is not done.
+	j.events = slices.Clone(j.events)
+	j.analyticEff, j.refineBuf, j.allDeltas = nil, nil, nil
+	if s == StateDone {
+		j.partial = nil
+	}
 	j.mu.Unlock()
 	close(j.done)
 	if j.cancel != nil {

@@ -351,11 +351,22 @@ func (w *Window) MaybeSnapshot(acct *CycleAccount, now, expectedTotal int64) {
 	}
 }
 
-// Done reports whether both snapshots have been taken, i.e. further
-// MaybeSnapshot calls are no-ops. The simulator checks it to keep the
-// per-charge bookkeeping branch-predictable once the window has
-// closed.
-func (w *Window) Done() bool { return w.headTaken && w.tailTaken }
+// Next returns the least now at which MaybeSnapshot(acct, now,
+// expectedTotal) would take a snapshot, or math.MaxInt64 once both
+// snapshots are taken and further MaybeSnapshot calls are no-ops. A
+// caller driving the window with an integer clock below 2^53 may skip
+// every MaybeSnapshot call with now < Next: float64(now) is exact
+// there, so float64(now) >= threshold exactly when now >=
+// ceil(threshold).
+func (w *Window) Next(expectedTotal int64) int64 {
+	switch {
+	case !w.headTaken:
+		return int64(math.Ceil(w.SkipHead * float64(expectedTotal)))
+	case !w.tailTaken:
+		return int64(math.Ceil((1 - w.SkipTail) * float64(expectedTotal)))
+	}
+	return math.MaxInt64
+}
 
 // Measure returns the windowed account. With no head snapshot (a very
 // short run) the whole run is returned; with no tail snapshot the

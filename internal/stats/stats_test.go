@@ -191,6 +191,31 @@ func TestWindowExcludesTransients(t *testing.T) {
 	}
 }
 
+// TestWindowNextPredictsSnapshots pins Next's contract: MaybeSnapshot
+// takes a snapshot at now exactly when now >= Next, for integral and
+// fractional thresholds and a zero head.
+func TestWindowNextPredictsSnapshots(t *testing.T) {
+	for _, c := range []struct {
+		head, tail float64
+		total      int64
+	}{{0.1, 0.1, 100}, {0.1, 0.1, 33}, {0, 0.2, 50}, {0.25, 0.3, 7}, {0.1, 0.1, 1}} {
+		w := NewWindow(c.head, c.tail)
+		var acct CycleAccount
+		for now := int64(0); now <= c.total+1; now++ {
+			next := w.Next(c.total)
+			before := *w
+			w.MaybeSnapshot(&acct, now, c.total)
+			took := w.headTaken != before.headTaken || w.tailTaken != before.tailTaken
+			if took != (now >= next) {
+				t.Fatalf("window %+v at now=%d: Next=%d but snapshot taken=%v", c, now, next, took)
+			}
+		}
+		if !w.headTaken || !w.tailTaken || w.Next(c.total) != math.MaxInt64 {
+			t.Errorf("window %+v: not done after the run, Next=%d", c, w.Next(c.total))
+		}
+	}
+}
+
 func TestWindowShortRunFallsBack(t *testing.T) {
 	w := NewWindow(0.25, 0.25)
 	var acct CycleAccount

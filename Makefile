@@ -32,6 +32,7 @@ test-race:
 fuzz-smoke:
 	$(GO) test ./internal/rng -run '^$$' -fuzz '^FuzzGeometricSample$$' -fuzztime 10s
 	$(GO) test ./internal/rng -run '^$$' -fuzz '^FuzzExponentialSample$$' -fuzztime 10s
+	$(GO) test ./internal/experiment -run '^$$' -fuzz '^FuzzDecodeMeasurements$$' -fuzztime 10s
 
 # End-to-end smoke test of the rrserved daemon: boot, submit a sweep
 # over HTTP, poll to completion, check cache + metrics counters, drain

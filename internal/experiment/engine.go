@@ -88,7 +88,14 @@ func execute(scale Scale, pts []point) ([]Measurement, error) {
 // resolve): the points' measurements flattened in point order.
 func executeSweep(meta sweepMeta, scale Scale, pts []point) ([]Measurement, error) {
 	res, err := resolve(meta, scale, pts)
-	var out []Measurement
+	n := 0
+	for _, r := range res {
+		n += len(r.ms)
+	}
+	var out []Measurement // nil when no cell resolved
+	if n > 0 {
+		out = make([]Measurement, 0, n)
+	}
 	for _, r := range res {
 		out = append(out, r.ms...)
 	}

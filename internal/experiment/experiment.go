@@ -237,6 +237,9 @@ type Experiment struct {
 	// to partition a request into cached and to-compute points before
 	// committing resources.
 	PointKeys func(seed uint64, scale Scale, g Grids) []string
+	// Cells, when non-nil, returns how many points PointKeys would
+	// return for g, without deriving any key.
+	Cells func(g Grids) int
 	// ComputeCells, when non-nil, computes an explicit list of cells
 	// (any subset of any grid) and returns their encoded measurements
 	// keyed by content address (see gridSweep.compute). Cluster workers use
@@ -321,12 +324,14 @@ type gridSweep struct {
 // registerSweep registers s as a grid experiment.
 func registerSweep(s *gridSweep) {
 	s.registered = true
+	s.noteLabels()
 	register(Experiment{
 		ID:           s.id,
 		Title:        s.title,
 		Description:  s.description,
 		RunGrid:      s.run,
 		PointKeys:    s.keys,
+		Cells:        s.count,
 		ComputeCells: s.compute,
 	})
 }
@@ -336,6 +341,7 @@ func registerSweep(s *gridSweep) {
 // or ComputeCells), so it always runs locally; post, if non-nil,
 // appends summary notes to the finished report.
 func registerAblation(s *gridSweep, post func(*Report)) {
+	s.noteLabels()
 	register(Experiment{
 		ID:          s.id,
 		Title:       s.title,
@@ -368,12 +374,21 @@ func (s *gridSweep) cells(g Grids) []Cell {
 	return cells
 }
 
+// count is len(s.cells(g)), without enumerating the cells.
+func (s *gridSweep) count(g Grids) int {
+	g = g.or(s.f, s.r, s.l)
+	return len(g.F) * len(g.R) * len(g.L) * len(s.archs)
+}
+
 // points builds the schedulable point for each cell. All per-point
 // derivation lives here — the RNG seed (from the cell coordinates and
 // the arch's index in s.archs, never from execution order), the
-// content address, and the run closure — so a cell computes the same
-// bytes whichever path or process runs it. An arch the sweep does not
-// define is an error: its seed index would be meaningless.
+// content address, and the run closure, which builds the cell's
+// workload spec only if the cell is simulated (on a warm sweep most
+// cells resolve from the store and never need one) — so a cell
+// computes the same bytes whichever path or process runs it. An arch
+// the sweep does not define is an error: its seed index would be
+// meaningless.
 func (s *gridSweep) points(seed uint64, scale Scale, cells []Cell) ([]point, error) {
 	be := backendFor(scale.fidelity())
 	pts := make([]point, len(cells))
@@ -382,12 +397,13 @@ func (s *gridSweep) points(seed uint64, scale Scale, cells []Cell) ([]point, err
 		if ai < 0 {
 			return nil, fmt.Errorf("experiment %s: unknown arch %q", s.id, c.Arch)
 		}
-		a, spec := s.archs[ai], s.spec(scale, c.R, c.L, scale.workPer(c.R))
+		a := s.archs[ai]
 		pts[i] = point{
 			seed: rng.DeriveSeed(seed, uint64(c.F), uint64(c.R), uint64(c.L), uint64(ai)),
 			key:  pointKey(s.id, seed, scale, c.F, c.R, c.L, c.Arch),
 			cell: c,
 			run: func(pointSeed uint64) []Measurement {
+				spec := s.spec(scale, c.R, c.L, scale.workPer(c.R))
 				return be.Measure(a, c.F, c.R, c.L, spec, pointSeed)
 			},
 		}

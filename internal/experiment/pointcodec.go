@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"regreloc/internal/node"
 	"regreloc/internal/stats"
 )
 
@@ -103,14 +104,43 @@ func appendAccount(buf []byte, acc *stats.CycleAccount) []byte {
 		return append(buf, 0)
 	}
 	buf = append(buf, 1)
-	for _, a := range stats.Activities() {
+	for _, a := range activities {
 		buf = binary.AppendVarint(buf, acc.Get(a))
 	}
 	return buf
 }
 
+// activities is stats.Activities(), listed once rather than per
+// encoded or decoded account.
+var activities = stats.Activities()
+
+// knownLabels holds every Panel, Arch and Res.Name a registered sweep's
+// default grid can produce (noteLabels), each mapped to itself. The
+// decoder returns these shared strings instead of allocating one per
+// decoded label; a label outside the set (a panel for a non-default F)
+// is still decoded, just allocated. Written only while the package
+// initializes, read-only afterwards.
+var knownLabels = map[string]string{"machine": "machine"}
+
+// noteLabels adds s's labels to knownLabels. Called from the register
+// functions, during package initialization.
+func (s *gridSweep) noteLabels() {
+	note := func(v string) { knownLabels[v] = v }
+	for _, f := range s.f {
+		note(panelName(f))
+	}
+	for _, a := range s.archs {
+		note(a.name)
+		for _, f := range s.f {
+			note(a.cfg(f).Name)
+		}
+	}
+}
+
 // decoder walks an encoded entry; the first decoding error sticks and
 // poisons every later read, so call sites check err once at the end.
+// It returns an error, never panics, on any input: entries arrive from
+// disk and from cluster peers.
 type decoder struct {
 	buf []byte
 	err error
@@ -122,13 +152,17 @@ func (d *decoder) fail(what string) {
 	}
 }
 
+// uvarint and varint accept only complete, minimal varints. The
+// encoder writes minimal varints only, so an overlong one (its last
+// byte a 0x00 continuation) can only be damage — and rejecting it keeps
+// decode∘encode the identity on every entry the decoder accepts.
 func (d *decoder) uvarint(what string) uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail(what)
+	if n <= 0 || (n > 1 && d.buf[n-1] == 0) {
+		d.badVarint(n, what)
 		return 0
 	}
 	d.buf = d.buf[n:]
@@ -140,26 +174,46 @@ func (d *decoder) varint(what string) int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.fail(what)
+	if n <= 0 || (n > 1 && d.buf[n-1] == 0) {
+		d.badVarint(n, what)
 		return 0
 	}
 	d.buf = d.buf[n:]
 	return v
 }
 
-func (d *decoder) str(what string) string {
+// badVarint records why the varint at what was rejected, given the
+// length binary.(U)varint returned.
+func (d *decoder) badVarint(n int, what string) {
+	if n <= 0 {
+		d.fail(what)
+	} else if d.err == nil {
+		d.err = fmt.Errorf("experiment: point entry has a non-minimal varint at %s", what)
+	}
+}
+
+// bytes reads a length-prefixed byte string, aliasing the input.
+func (d *decoder) bytes(what string) []byte {
 	n := d.uvarint(what)
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if uint64(len(d.buf)) < n {
 		d.fail(what)
-		return ""
+		return nil
 	}
-	s := string(d.buf[:n])
+	b := d.buf[:n]
 	d.buf = d.buf[n:]
-	return s
+	return b
+}
+
+// label reads a string, sharing the knownLabels copy when there is one.
+func (d *decoder) label(what string) string {
+	b := d.bytes(what)
+	if s, ok := knownLabels[string(b)]; ok {
+		return s
+	}
+	return string(b)
 }
 
 func (d *decoder) float(what string) float64 {
@@ -188,22 +242,42 @@ func (d *decoder) byteVal(what string) byte {
 	return b
 }
 
-func (d *decoder) account(what string) *stats.CycleAccount {
-	switch d.byteVal(what) {
-	case 0:
-		return nil
-	case 1:
-		acc := &stats.CycleAccount{}
-		for _, a := range stats.Activities() {
-			acc.Charge(a, d.varint(what))
-			if d.err != nil {
-				return nil
+// accounts decodes a result's windowed and full cycle accounts. Both
+// live in one allocation. A negative cycle count is an error: the
+// encoder never writes one, and CycleAccount.Charge panics on it.
+func (d *decoder) accounts(res *node.Result) {
+	var pair *[2]stats.CycleAccount
+	for i, what := range [2]string{"windowed", "full"} {
+		switch d.byteVal(what) {
+		case 0:
+			continue
+		case 1:
+		default:
+			if d.err == nil {
+				d.err = fmt.Errorf("experiment: point entry has a bad %s presence flag", what)
 			}
+			return
 		}
-		return acc
-	default:
-		d.fail(what + " presence flag")
-		return nil
+		if pair == nil {
+			pair = new([2]stats.CycleAccount)
+		}
+		acc := &pair[i]
+		for _, a := range activities {
+			v := d.varint(what)
+			if d.err != nil {
+				return
+			}
+			if v < 0 {
+				d.err = fmt.Errorf("experiment: point entry has negative %s %v cycles %d", what, a, v)
+				return
+			}
+			acc.Charge(a, v)
+		}
+		if i == 0 {
+			res.Windowed = acc
+		} else {
+			res.Full = acc
+		}
 	}
 }
 
@@ -233,16 +307,15 @@ func decodeMeasurements(fid Fidelity, data []byte) ([]Measurement, error) {
 	ms := make([]Measurement, n)
 	for i := range ms {
 		m := &ms[i]
-		m.Panel = d.str("panel")
-		m.Arch = d.str("arch")
+		m.Panel = d.label("panel")
+		m.Arch = d.label("arch")
 		m.R = int(d.varint("r"))
 		m.L = int(d.varint("l"))
 		m.F = int(d.varint("f"))
 		m.Eff = d.float("eff")
 
-		m.Res.Name = d.str("name")
-		m.Res.Windowed = d.account("windowed")
-		m.Res.Full = d.account("full")
+		m.Res.Name = d.label("name")
+		d.accounts(&m.Res)
 		m.Res.Efficiency = d.float("efficiency")
 		m.Res.Completed = int(d.varint("completed"))
 		m.Res.AvgResident = d.float("avg_resident")

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"reflect"
@@ -127,4 +129,167 @@ func TestPointCodecCoversResultFields(t *testing.T) {
 	if n := len(stats.Activities()); n != 9 {
 		t.Errorf("stats has %d activities, codec assumes 9: bump pointCodecVersion", n)
 	}
+}
+
+// withNegativeWindowed returns a copy of a valid one-or-more-measurement
+// entry whose first measurement's first windowed cycle count reads -1:
+// the byte after the windowed presence flag becomes 0x01, zigzag -1.
+func withNegativeWindowed(t *testing.T, data []byte) []byte {
+	t.Helper()
+	d := &decoder{buf: data[2:]}
+	d.uvarint("count")
+	d.bytes("panel")
+	d.bytes("arch")
+	d.varint("r")
+	d.varint("l")
+	d.varint("f")
+	d.float("eff")
+	d.bytes("name")
+	if d.byteVal("windowed") != 1 || d.err != nil {
+		t.Fatalf("entry has no windowed account: %v", d.err)
+	}
+	bad := append([]byte(nil), data...)
+	bad[len(data)-len(d.buf)] = 0x01
+	return bad
+}
+
+// peerFunc adapts a function to PointComputer.
+type peerFunc func(ctx context.Context, sweep RemoteSweep, emit func(key string, data []byte)) error
+
+func (f peerFunc) ComputePoints(ctx context.Context, sweep RemoteSweep, emit func(key string, data []byte)) error {
+	return f(ctx, sweep, emit)
+}
+
+// TestDecodeNegativeCyclesErrors is the regression test for a decoder
+// panic: a cycle count of -1 used to reach CycleAccount.Charge, which
+// panics on negative charges. Entries come from disk and from cluster
+// peers, so the decoder must return an error instead — and a peer
+// answering with such bytes must leave the coordinator running, with
+// the cells simulated locally.
+func TestDecodeNegativeCyclesErrors(t *testing.T) {
+	bad := withNegativeWindowed(t, encodeMeasurements(FidelitySim, sampleMeasurements()))
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("decoder panicked: %v", r)
+			}
+		}()
+		if _, err := decodeMeasurements(FidelitySim, bad); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("negative cycle count: err = %v, want a negative-count error", err)
+		}
+	}()
+
+	g := Grids{F: []int{64}, R: []int{8}, L: []int{16}}
+	want, err := figure5.measure(1, Quick, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var emitted int
+	sc := Quick
+	sc.Remote = peerFunc(func(ctx context.Context, sweep RemoteSweep, emit func(string, []byte)) error {
+		cells := make([]Cell, len(sweep.Points))
+		for i, p := range sweep.Points {
+			cells[i] = Cell{F: p.F, R: p.R, L: p.L, Arch: p.Arch}
+		}
+		res, err := figure5.compute(sweep.Seed, Quick, cells)
+		if err != nil {
+			return err
+		}
+		for _, cr := range res {
+			emit(cr.Key, withNegativeWindowed(t, cr.Data))
+			emitted++
+		}
+		return nil
+	})
+	got, err := figure5.measure(1, sc, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if emitted == 0 {
+		t.Fatal("the peer was never asked for a cell")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("cells answered with negative cycle counts did not fall back to local simulation")
+	}
+}
+
+// TestPointCodecRejectsOverlongVarint pins canonical decoding: the
+// encoder writes minimal varints only, so a padded one (here the count
+// 1 as 0x81 0x00) is damage. Accepting it would let two byte strings
+// decode to the same point, and re-encoding would not reproduce the
+// entry.
+func TestPointCodecRejectsOverlongVarint(t *testing.T) {
+	data := encodeMeasurements(FidelitySim, make([]Measurement, 1))
+	if data[2] != 1 {
+		t.Fatalf("count byte = %#x, want 1", data[2])
+	}
+	padded := append([]byte{data[0], data[1], 0x81, 0x00}, data[3:]...)
+	if _, err := decodeMeasurements(FidelitySim, padded); err == nil {
+		t.Error("overlong varint accepted")
+	}
+}
+
+// realEntries encodes the measurements of a few real cells: figure5 and
+// figure6 sim cells (with both cycle accounts) and analytic cells (with
+// none).
+func realEntries(t testing.TB) map[Fidelity][][]Measurement {
+	out := map[Fidelity][][]Measurement{}
+	for _, fid := range []Fidelity{FidelitySim, FidelityAnalytic} {
+		sc := Quick
+		sc.Fidelity = fid
+		for _, s := range []*gridSweep{figure5, figure6} {
+			pts, err := s.points(1, sc, s.cells(Grids{F: []int{64}, R: []int{32}, L: []int{64}}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pts {
+				out[fid] = append(out[fid], p.runLocal(sc))
+			}
+		}
+	}
+	return out
+}
+
+// TestPointCodecRoundTripReal checks encode∘decode is the identity on
+// measurements the backends really produce, labels included: decoding
+// shares known label strings, which must not change a value.
+func TestPointCodecRoundTripReal(t *testing.T) {
+	for fid, cells := range realEntries(t) {
+		for _, ms := range cells {
+			out, err := decodeMeasurements(fid, encodeMeasurements(fid, ms))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(out, ms) {
+				t.Errorf("%s round trip not exact:\n in: %+v\nout: %+v", fid, ms, out)
+			}
+		}
+	}
+}
+
+// FuzzDecodeMeasurements feeds the point decoder arbitrary bytes, as a
+// damaged disk tier or a hostile cluster peer could. Oracles: decoding
+// never panics (a panic fails the fuzz run); an accepted entry
+// re-encodes to exactly its input bytes; and an accepted entry holds no
+// more measurements than its length could encode, the bound the
+// decoder checks before allocating. The seed corpus under
+// testdata/fuzz/FuzzDecodeMeasurements holds real sim and analytic
+// entries and damaged variants of them.
+func FuzzDecodeMeasurements(f *testing.F) {
+	f.Add(encodeMeasurements(FidelitySim, sampleMeasurements()))
+	f.Add(encodeMeasurements(FidelityAnalytic, make([]Measurement, 2)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, fid := range []Fidelity{FidelitySim, FidelityMachine, FidelityAnalytic} {
+			ms, err := decodeMeasurements(fid, data)
+			if err != nil {
+				continue
+			}
+			if limit := (len(data) - 2) / minEncodedMeasurement; len(ms) > limit {
+				t.Fatalf("%d bytes decoded to %d measurements, bound %d", len(data), len(ms), limit)
+			}
+			if re := encodeMeasurements(fid, ms); !bytes.Equal(re, data) {
+				t.Fatalf("accepted entry re-encodes differently:\n in: %x\nout: %x", data, re)
+			}
+		}
+	})
 }

@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
+	"strconv"
 
 	"regreloc/internal/pointstore"
 )
@@ -44,11 +42,29 @@ func pointKey(experimentID string, seed uint64, scale Scale, f, r, l int, arch s
 
 // pointKeyWith is pointKey with the engine version injected, so tests
 // can pin cross-version distinctness without rebuilding the binary.
+// The preimage is
+//
+//	<pointSchema>\nengine=<engine>\nfidelity=<fid>\nexperiment=<id>\nseed=<seed>\n
+//	threads=<threads>\nwork=<work>\nf=<f>\nr=<r>\nl=<l>\narch=<arch>\n
+//
+// with decimal integers, built with strconv into a stack buffer: the
+// key is on every warm submit's path, once per cell, and fmt's
+// reflection cost twice as much as the hash (TestPointKeyGolden pins
+// the bytes).
 func pointKeyWith(engine string, fid Fidelity, experimentID string, seed uint64, threads int, work int64, f, r, l int, arch string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\nengine=%s\nfidelity=%s\nexperiment=%s\nseed=%d\nthreads=%d\nwork=%d\nf=%d\nr=%d\nl=%d\narch=%s\n",
-		pointSchema, engine, fid, experimentID, seed, threads, work, f, r, l, arch)
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [256]byte
+	b := append(buf[:0], pointSchema...)
+	b = append(append(b, "\nengine="...), engine...)
+	b = append(append(b, "\nfidelity="...), fid...)
+	b = append(append(b, "\nexperiment="...), experimentID...)
+	b = strconv.AppendUint(append(b, "\nseed="...), seed, 10)
+	b = strconv.AppendInt(append(b, "\nthreads="...), int64(threads), 10)
+	b = strconv.AppendInt(append(b, "\nwork="...), work, 10)
+	b = strconv.AppendInt(append(b, "\nf="...), int64(f), 10)
+	b = strconv.AppendInt(append(b, "\nr="...), int64(r), 10)
+	b = strconv.AppendInt(append(b, "\nl="...), int64(l), 10)
+	b = append(append(b, "\narch="...), arch...)
+	return pointstore.HashKey(append(b, '\n'))
 }
 
 // keys is PointKeys: the content address of every point RunGrid(g)

@@ -127,3 +127,48 @@ func TestSweepKeysMatchSweepOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestPointKeyGolden pins the exact key bytes for a few cells at the sim
+// and analytic tiers. A persisted store addresses its entries by these
+// strings, so any change to them — a reordered preimage field, a
+// different integer formatting — must arrive as a deliberate pointSchema
+// bump, never as a side effect of a refactor. The engine version is
+// injected so the values do not depend on the test binary.
+func TestPointKeyGolden(t *testing.T) {
+	const engine = "golden-engine"
+	cases := []struct {
+		fid    Fidelity
+		exp    string
+		seed   uint64
+		scale  Scale
+		f, r   int
+		l      int
+		arch   string
+		golden string
+	}{
+		{FidelitySim, "figure5", 1, Quick, 64, 8, 16, "fixed",
+			"e1c0db95c0be6ad67c2513a68f1239ae3ae2cf4b5308f9f7b20a0cb6ed518bda"},
+		{FidelitySim, "figure6", 42, Full, 256, 512, 1024, "flexible",
+			"0c300648014d7955425a32f7a643517a398e70a647f9091ddc76d566dcc61ae6"},
+		{FidelitySim, "figure6a-cheap", 1<<64 - 1, Quick, 4096, 1 << 20, 1, "flexible-lookup",
+			"f437c6807a7f0870194836dacd22b85162363bef1a5c27ba8c34b086399e0809"},
+		{FidelityAnalytic, "figure5", 1, Quick, 128, 32, 64, "flexible",
+			"3b88ef7d110d7546a64547e336983bc576ac013c11d190ef00602b6e35f31738"},
+		{FidelityAnalytic, "homogeneous-c8", 0, Full, 64, 1, 512, "fixed",
+			"f53faf827ff0fb1ead1381d190d4a9d6a3ec7ced7f94dd3a3bcb70eae85059d9"},
+	}
+	for _, c := range cases {
+		got := pointKeyWith(engine, c.fid, c.exp, c.seed, c.scale.Threads, c.scale.workPer(c.r), c.f, c.r, c.l, c.arch)
+		if got != c.golden {
+			t.Errorf("pointKey(%s %s seed=%d f=%d r=%d l=%d %s) = %s, want %s",
+				c.fid, c.exp, c.seed, c.f, c.r, c.l, c.arch, got, c.golden)
+		}
+	}
+}
+
+func BenchmarkPointKey(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pointKey("figure5", uint64(i), Quick, 128, 32, 64, "flexible")
+	}
+}

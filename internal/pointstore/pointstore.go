@@ -610,7 +610,7 @@ func (s *Store) writeEntry(sh *shard, key string, data []byte) error {
 		s.warnSpillOnce(err)
 		return fmt.Errorf("pointstore: spilling %s: %w", key, err)
 	}
-	sum := checksum(data)
+	sum := HashKey(data)
 	sh.mu.Lock()
 	if _, ok := sh.disk[key]; !ok {
 		sh.disk[key] = diskEntry{Size: int64(len(data)), Sum: sum}
@@ -784,9 +784,15 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key+".bin")
 }
 
-func checksum(data []byte) string {
+// HashKey returns the hex SHA-256 of data. It names both the content
+// addresses callers build from a key preimage (point keys, job keys)
+// and the disk tier's entry checksums. The digest and its hex form live
+// on the stack; only the returned string is allocated.
+func HashKey(data []byte) string {
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // EngineVersion identifies the code that computes result bytes: the

@@ -233,7 +233,7 @@ func TestCorruptDiskEntryDropped(t *testing.T) {
 func TestBadIndexStartsCold(t *testing.T) {
 	data := []byte("old-format entry")
 	oldVersion, err := json.Marshal(storeIndex{Version: indexVersion + 1, Entries: map[string]diskEntry{
-		"k": {Size: int64(len(data)), Sum: checksum(data)},
+		"k": {Size: int64(len(data)), Sum: HashKey(data)},
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -82,7 +82,7 @@ func (sh *shard) diskGet(key string) ([]byte, bool) {
 	}
 	st := sh.st
 	data, err := st.fs.ReadFile(st.path(key))
-	if err == nil && checksum(data) == de.Sum {
+	if err == nil && HashKey(data) == de.Sum {
 		sh.promote(key, data)
 		return data, true
 	}

@@ -9,11 +9,10 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -207,12 +206,41 @@ const cacheSchema = "regreloc-job-v3"
 // collide. Server-side tunables (worker counts, timeouts) are
 // deliberately excluded — the engine guarantees they cannot change the
 // output.
-func (q Request) Key() string {
+func (q Request) Key() string { return q.keyWith(pointstore.EngineVersion()) }
+
+// keyWith is Key with the engine version injected, so tests can pin the
+// key bytes independently of the test binary. The preimage is
+//
+//	<cacheSchema>\nengine=<engine>\nexperiment=<id>\nseed=<seed>\nscale=<scale>\n
+//	fidelity=<fid>\nf=[64 128]\nr=[8]\nl=[]\n
+//
+// — the grids in fmt's %v form of an []int — built with strconv into a
+// stack buffer (TestRequestKeyGolden pins the bytes).
+func (q Request) keyWith(engine string) string {
 	q = q.normalize()
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\nengine=%s\nexperiment=%s\nseed=%d\nscale=%s\nfidelity=%s\nf=%v\nr=%v\nl=%v\n",
-		cacheSchema, pointstore.EngineVersion(), q.Experiment, q.Seed, q.Scale, q.Fidelity, q.F, q.R, q.L)
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [512]byte
+	b := append(buf[:0], cacheSchema...)
+	b = append(append(b, "\nengine="...), engine...)
+	b = append(append(b, "\nexperiment="...), q.Experiment...)
+	b = strconv.AppendUint(append(b, "\nseed="...), q.Seed, 10)
+	b = append(append(b, "\nscale="...), q.Scale...)
+	b = append(append(b, "\nfidelity="...), q.Fidelity...)
+	b = appendGrid(append(b, "\nf="...), q.F)
+	b = appendGrid(append(b, "\nr="...), q.R)
+	b = appendGrid(append(b, "\nl="...), q.L)
+	return pointstore.HashKey(append(b, '\n'))
+}
+
+// appendGrid appends vals as fmt's %v prints an []int: "[64 128]".
+func appendGrid(b []byte, vals []int) []byte {
+	b = append(b, '[')
+	for i, v := range vals {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
 }
 
 // State is a job's lifecycle position.
@@ -249,6 +277,9 @@ type Job struct {
 	// tenant is the admission bucket the job holds an in-flight slot
 	// in, fixed at submission.
 	tenant string
+	// older and newer link the server's job table in submission order;
+	// guarded by the server's mu, not the job's.
+	older, newer *Job
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -512,14 +543,6 @@ func (j *Job) finalize(s State, result []byte, err error) bool {
 		j.cancel() // release the context subtree; idempotent
 	}
 	return true
-}
-
-// finishedAt returns the finish time and whether the job is terminal,
-// for the server's job-table retention pruning.
-func (j *Job) finishedAt() (time.Time, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.finished, j.state.terminal()
 }
 
 // State returns the job's current state.

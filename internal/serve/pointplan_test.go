@@ -9,6 +9,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -343,5 +344,64 @@ func TestReportProbeAccounting(t *testing.T) {
 			t.Errorf("%s: report hits/misses moved by %d/%d, want %d/%d",
 				step.name, hits-hits0, misses-misses0, step.wantHits, step.wantMisses)
 		}
+	}
+}
+
+// TestReportHitSkipsPlanning checks that a submission whose report is
+// already stored derives no point keys — the report answers it whole —
+// while the client still gets what a planned report hit returns: 200, a
+// cached done job, the same report bytes, and a plan counting every
+// cell as covered.
+func TestReportHitSkipsPlanning(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var derived atomic.Int64
+	s.pointKeys = func(req Request) []string {
+		derived.Add(1)
+		return requestPointKeys(req)
+	}
+	s.Start()
+	defer s.Shutdown(context.Background())
+
+	req := multiCellRequest()
+	j1, status, err := s.Submit(req)
+	if err != nil || status != http.StatusCreated {
+		t.Fatalf("first submit: status=%d err=%v", status, err)
+	}
+	waitDone(t, j1)
+	if derived.Load() != 1 {
+		t.Fatalf("first submit derived keys %d times, want 1", derived.Load())
+	}
+
+	j2, status, err := s.Submit(req)
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("report-hit submit: status=%d err=%v", status, err)
+	}
+	if n := derived.Load(); n != 1 {
+		t.Errorf("report-hit submit derived point keys (%d derivations, want 1)", n)
+	}
+	st, first := j2.Status(true), j1.Status(true)
+	if st.State != StateDone || !st.Cached {
+		t.Errorf("report hit: state=%s cached=%v, want done/cached", st.State, st.Cached)
+	}
+	cells := len(requestPointKeys(req))
+	if st.Plan == nil || st.Plan.Points != cells || st.Plan.Cached != cells {
+		t.Errorf("report-hit plan = %+v, want %d/%d", st.Plan, cells, cells)
+	}
+	if !bytes.Equal(st.Result, first.Result) {
+		t.Error("report-hit result bytes differ from the run that stored them")
+	}
+	// The HTTP body is the same Status, minus the per-job identity.
+	st.ID, st.CreatedAt = "", time.Time{}
+	want := Status{Key: first.Key, Experiment: first.Experiment, Seed: first.Seed,
+		Scale: first.Scale, Fidelity: first.Fidelity, Tenant: first.Tenant,
+		State: StateDone, Cached: true, Plan: &Plan{Points: cells, Cached: cells},
+		Result: first.Result}
+	got, _ := json.Marshal(st)
+	wantJSON, _ := json.Marshal(want)
+	if !bytes.Equal(got, wantJSON) {
+		t.Errorf("report-hit status body:\n got %s\nwant %s", got, wantJSON)
 	}
 }

@@ -61,8 +61,8 @@ type Config struct {
 	// content-addressed store keeps the result itself far longer; only
 	// the per-job status record is pruned.
 	JobRetention time.Duration
-	// MaxJobs caps the job table; past it the oldest terminal jobs are
-	// pruned regardless of age (default 1024). Non-terminal jobs are
+	// MaxJobs caps the job table; past it terminal jobs are pruned in
+	// the order they finished, regardless of age (default 1024). Non-terminal jobs are
 	// never pruned — they are already bounded by QueueCap + Workers.
 	MaxJobs int
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
@@ -148,9 +148,15 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string        // submission order, for listing
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// oldest and newest end the job table's list in submission order
+	// (Job.older/newer), for listing; a job leaves it in O(1).
+	oldest, newest *Job
+	// retired queues the table's terminal jobs in the order they turned
+	// terminal. Pruning pops from its head only, so admission costs the
+	// same whatever the table holds.
+	retired  []retiredJob
 	inflight map[string]*Job // request key → queued/running job
 	queue    *jobQueue
 	draining bool
@@ -163,6 +169,11 @@ type Server struct {
 	// completed points). Tests replace it to control timing; the
 	// default is (*Server).runExperiment.
 	runJob func(ctx context.Context, j *Job) ([]byte, int, error)
+
+	// pointKeys derives a request's point keys for the submit-time
+	// plan (nil when the experiment has no planner). Tests wrap it to
+	// count derivations; the default is requestPointKeys.
+	pointKeys func(req Request) []string
 
 	// postAdmitHook, when non-nil, runs between a job's admission for
 	// inline assembly and the coverage re-check. Tests use it to force
@@ -206,6 +217,7 @@ func New(cfg Config) (*Server, error) {
 		points.SetLogf(cfg.Logger.Printf)
 	}
 	s.runJob = s.runExperiment
+	s.pointKeys = requestPointKeys
 	s.buildMux()
 	return s, nil
 }
@@ -260,11 +272,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// finalize the backlog here — otherwise each job's Done channel
 		// never closes and clients waiting on it block forever.
 		for _, j := range s.queue.drainRemaining() {
-			if j.finalize(StateCanceled, nil, errors.New("server shut down before starting")) {
-				s.forgetInflight(j)
-				s.queue.release(j.tenant)
-				s.met.jobFinished(j.Req.Experiment, StateCanceled, -1, false)
-			}
+			s.cancelQueued(j, errors.New("server shut down before starting"))
 		}
 	}
 	s.baseCancel()
@@ -313,6 +321,13 @@ func (s *Server) submit(req Request) (*Job, int, error) {
 	req = req.normalize()
 	key := req.Key()
 
+	// A stored report answers the request outright (admit serves it), so
+	// the plan below would be wasted work. The probe is uncounted:
+	// admit's report lookup does the hit/miss accounting. Should the
+	// report be evicted before admit looks, the job is simply queued
+	// without a plan.
+	reportStored := s.points != nil && s.points.Contains(key)
+
 	// Plan the request against the point store before taking the
 	// server lock: computing a large grid's keys is pure hashing, and
 	// coverage only needs the store's own lock. For adaptive requests
@@ -320,20 +335,19 @@ func (s *Server) submit(req Request) (*Job, int, error) {
 	// because req.scale() resolves adaptive to the simulator.
 	var keys []string
 	var planned, covered int
-	if s.points != nil {
-		if e, ok := experiment.Get(req.Experiment); ok && e.PointKeys != nil {
-			keys = e.PointKeys(req.Seed, req.scale(), req.grids())
-			planned = len(keys)
-			covered = s.points.Covered(keys)
-		}
+	if s.points != nil && !reportStored {
+		keys = s.pointKeys(req)
+		planned = len(keys)
+		covered = s.points.Covered(keys)
 	}
 
 	// Adaptive submissions get their analytic answer right here on the
 	// submit path, before admission: the closed-form tier costs
 	// microseconds per cell, so the client leaves with a complete
-	// approximate report no matter what the queue looks like.
+	// approximate report no matter what the queue looks like. A stored
+	// report is the refined answer already, so it needs no partial.
 	var partial *partialResult
-	if req.adaptive() {
+	if req.adaptive() && !reportStored {
 		p, err := s.analyticPhase(req)
 		if err != nil {
 			return nil, http.StatusInternalServerError, fmt.Errorf("analytic phase: %w", err)
@@ -389,17 +403,20 @@ func (s *Server) report(key string) ([]byte, bool) {
 	return nil, false
 }
 
+// requestPointKeys is the default Server.pointKeys: the request's
+// point keys from its experiment's planner.
+func requestPointKeys(req Request) []string {
+	if e, ok := experiment.Get(req.Experiment); ok && e.PointKeys != nil {
+		return e.PointKeys(req.Seed, req.scale(), req.grids())
+	}
+	return nil
+}
+
 // dropJob unregisters a job that was admitted but could not be run or
 // queued, releasing its tenant slot and context registration.
 func (s *Server) dropJob(j *Job) {
 	s.mu.Lock()
-	delete(s.jobs, j.ID)
-	for i, id := range s.order {
-		if id == j.ID {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+	s.unlistLocked(j)
 	if s.inflight[j.Key] == j {
 		delete(s.inflight, j.Key)
 	}
@@ -437,6 +454,14 @@ func (s *Server) admit(req Request, key string, planned, covered int, partial *p
 	if data, ok := s.report(key); ok {
 		// The refined result already exists, so an adaptive partial
 		// would only be a worse answer to the same question: drop it.
+		// A request that skipped planning because its report was stored
+		// reports the report's cells, all covered, as its plan.
+		if planned == 0 {
+			if e, ok := experiment.Get(req.Experiment); ok && e.Cells != nil {
+				planned = e.Cells(req.grids())
+				covered = planned
+			}
+		}
 		j := s.newJobLocked(key, req, planned, covered, nil)
 		j.cached = true
 		j.state = StateDone
@@ -445,6 +470,7 @@ func (s *Server) admit(req Request, key string, planned, covered int, partial *p
 		j.appendEventLocked(Event{Type: EventState, State: StateDone, Cached: true})
 		close(j.done)
 		j.cancel() // born terminal: release its context registration now
+		s.retireLocked(j)
 		s.met.incSubmitted()
 		s.met.jobFinished(req.Experiment, StateDone, -1, false)
 		return j, http.StatusOK, false, nil
@@ -472,8 +498,7 @@ func (s *Server) admit(req Request, key string, planned, covered int, partial *p
 	// Bounded, tenant-fair queue with backpressure.
 	j = s.newJobLocked(key, req, planned, covered, partial)
 	if qerr := s.queue.enqueue(j); qerr != nil {
-		delete(s.jobs, j.ID)
-		s.order = s.order[:len(s.order)-1]
+		s.unlistLocked(j)
 		j.cancel() // never ran: release its context registration
 		s.queue.release(tenant)
 		s.met.incRejected()
@@ -512,8 +537,44 @@ func (s *Server) newJobLocked(key string, req Request, planned, covered int, par
 		j.appendEventLocked(Event{Type: EventPartial, Fidelity: "analytic", Total: partial.cells})
 	}
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
+	j.older = s.newest
+	if s.newest != nil {
+		s.newest.newer = j
+	} else {
+		s.oldest = j
+	}
+	s.newest = j
 	return j
+}
+
+// unlistLocked removes j from the job table, if it is still there.
+// Caller holds s.mu.
+func (s *Server) unlistLocked(j *Job) {
+	if s.jobs[j.ID] != j {
+		return
+	}
+	delete(s.jobs, j.ID)
+	if j.older != nil {
+		j.older.newer = j.newer
+	} else {
+		s.oldest = j.newer
+	}
+	if j.newer != nil {
+		j.newer.older = j.older
+	} else {
+		s.newest = j.older
+	}
+	j.older, j.newer = nil, nil
+}
+
+// listedLocked returns the job table in submission order. Caller holds
+// s.mu.
+func (s *Server) listedLocked() []*Job {
+	jobs := make([]*Job, 0, len(s.jobs))
+	for j := s.oldest; j != nil; j = j.newer {
+		jobs = append(jobs, j)
+	}
+	return jobs
 }
 
 // partialResult is the submit-path analytic answer of an adaptive job:
@@ -552,26 +613,39 @@ func (s *Server) analyticPhase(req Request) (*partialResult, error) {
 	return &partialResult{data: data, eff: eff, cells: len(rep.Points)}, nil
 }
 
+// retiredJob is one entry of Server.retired: a terminal job and when it
+// entered the queue.
+type retiredJob struct {
+	j  *Job
+	at time.Time
+}
+
+// retireLocked queues a job that just turned terminal for pruning.
+// Every place a job turns terminal calls it once. Caller holds s.mu.
+func (s *Server) retireLocked(j *Job) {
+	s.retired = append(s.retired, retiredJob{j, time.Now()})
+}
+
 // pruneJobsLocked bounds the job table: terminal jobs past the
 // retention window are dropped, and while the table exceeds MaxJobs the
-// oldest terminal jobs go too. Result bytes live on in the
+// earliest-finished terminal jobs go too. Queued and running jobs are
+// never in s.retired, so they are never pruned. Both rules pop from the
+// head of s.retired, which is in finish order, so each submission pays
+// only for the jobs it prunes. Result bytes live on in the
 // content-addressed store; only the per-job status record (and its ID)
 // disappears, so a long-running daemon's memory tracks the store
 // budget, not every submission ever made. Caller holds s.mu.
 func (s *Server) pruneJobsLocked() {
 	cutoff := time.Now().Add(-s.cfg.JobRetention)
-	over := len(s.order) - s.cfg.MaxJobs
-	kept := s.order[:0]
-	for _, id := range s.order {
-		fin, terminal := s.jobs[id].finishedAt()
-		if terminal && (over > 0 || fin.Before(cutoff)) {
-			over--
-			delete(s.jobs, id)
-			continue
+	for len(s.retired) > 0 {
+		r := s.retired[0]
+		if len(s.jobs) <= s.cfg.MaxJobs && !r.at.Before(cutoff) {
+			return
 		}
-		kept = append(kept, id)
+		s.retired[0] = retiredJob{} // let the popped job be collected
+		s.retired = s.retired[1:]
+		s.unlistLocked(r.j) // no-op if dropJob already removed it
 	}
-	s.order = kept
 }
 
 // Job returns a job by ID.
@@ -598,21 +672,39 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 	j.mu.Unlock()
 	if queued {
 		// Finalize now; the worker skips already-terminal jobs.
-		if j.finalize(StateCanceled, nil, context.Canceled) {
-			s.forgetInflight(j)
-			s.queue.release(j.tenant)
-			s.met.jobFinished(j.Req.Experiment, StateCanceled, -1, false)
-		}
+		s.cancelQueued(j, context.Canceled)
 	}
 	return j, true
 }
 
-func (s *Server) forgetInflight(j *Job) {
+// cancelQueued finalizes a job that never started as canceled with err
+// and releases what it held. A no-op if the job is already terminal:
+// whoever finalized it first did the accounting.
+func (s *Server) cancelQueued(j *Job, err error) {
+	if !s.finish(j, StateCanceled, nil, err) {
+		return
+	}
+	s.queue.release(j.tenant)
+	s.met.jobFinished(j.Req.Experiment, StateCanceled, -1, false)
+}
+
+// finish turns j terminal and reports whether this call did. Leaving
+// the in-flight table, finalizing and queueing for pruning share one
+// critical section under s.mu: admit checks inflight before the stored
+// report, so it never sees a job both in flight and done (a
+// resubmission hits the report just stored, never coalesces onto the
+// finished job), and s.retired stays in finish order.
+func (s *Server) finish(j *Job, st State, result []byte, err error) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !j.finalize(st, result, err) {
+		return false
+	}
 	if s.inflight[j.Key] == j {
 		delete(s.inflight, j.Key)
 	}
-	s.mu.Unlock()
+	s.retireLocked(j)
+	return true
 }
 
 // worker drains the queue until Shutdown closes it (and the backlog
@@ -634,13 +726,9 @@ func (s *Server) worker() {
 // runOne executes a single job end to end.
 func (s *Server) runOne(j *Job) {
 	if err := j.ctx.Err(); err != nil {
-		// Cancelled (or shut down) while queued. finalize is a no-op if
-		// Cancel already finalized and accounted for the job.
-		if j.finalize(StateCanceled, nil, err) {
-			s.forgetInflight(j)
-			s.queue.release(j.tenant)
-			s.met.jobFinished(j.Req.Experiment, StateCanceled, -1, false)
-		}
+		// Cancelled (or shut down) while queued. A no-op if Cancel
+		// already finalized and accounted for the job.
+		s.cancelQueued(j, err)
 		return
 	}
 	// Claim the job. The transition fails only when Cancel finalized it
@@ -679,16 +767,10 @@ func (s *Server) runOne(j *Job) {
 	default:
 		final = StateFailed
 	}
-	// Leave inflight before turning terminal: admit checks inflight
-	// before the stored report, so a resubmission that sees this job
-	// done must find it gone and hit the report just Put, never
-	// coalesce onto the finished job.
-	s.forgetInflight(j)
-	if final == StateDone {
-		j.finalize(StateDone, data, nil)
-	} else {
-		j.finalize(final, nil, err)
+	if final != StateDone {
+		data = nil
 	}
+	s.finish(j, final, data, err)
 	s.queue.release(j.tenant)
 	s.met.jobFinished(j.Req.Experiment, final, seconds, true)
 	s.log.Printf("job %s %s tenant=%s experiment=%s points=%d elapsed=%.3fs",
@@ -893,10 +975,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
-	}
+	jobs := s.listedLocked()
 	s.mu.Unlock()
 	out := make([]Status, 0, len(jobs))
 	for _, j := range jobs {

@@ -426,7 +426,13 @@ func TestTerminalJobsPruned(t *testing.T) {
 		waitDone(t, j)
 	}
 	s.mu.Lock()
-	nJobs, nOrder := len(s.jobs), len(s.order)
+	listed := s.listedLocked()
+	nJobs, nOrder := len(s.jobs), len(listed)
+	for _, j := range listed {
+		if s.jobs[j.ID] != j {
+			t.Errorf("listed job %s is not in the job table", j.ID)
+		}
+	}
 	s.mu.Unlock()
 	// Pruning runs before each submission registers its job, so the
 	// table holds at most MaxJobs survivors plus the newest job.
@@ -677,7 +683,7 @@ func TestDoneJobLeftInflightFirst(t *testing.T) {
 			t.Fatal("job turned done while still in flight: a resubmission would coalesce onto it")
 		}
 	case <-time.After(200 * time.Millisecond):
-		// runOne is parked in forgetInflight, before finalize.
+		// runOne is parked in finish, before finalize.
 		s.mu.Unlock()
 	}
 	waitDone(t, j)
